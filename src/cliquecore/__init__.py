@@ -54,6 +54,7 @@ from .lp import (
     is_integral,
     lp_format,
     solve_dual,
+    solve_game,
     solve_general,
     solve_primal,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "restrict_dual",
     "serialize_graph",
     "solve_dual",
+    "solve_game",
     "solve_general",
     "solve_primal",
     "subset_cost_table",

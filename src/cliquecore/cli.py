@@ -3,15 +3,18 @@
 Verbs: solve, verify, check-perfect, cliques, generate, corpus.
 Exit codes: 0 success / in-core / perfect, 1 input error, 2 size-guard
 violation, 3 property failure (violated imputation, imperfect graph,
-failed corpus property).  All JSON output is canonical (sorted keys, no
-timestamps), so identical configuration and seed give byte-identical
-output.
+failed corpus property), 141 when the reader of stdout goes away early
+(as for a process killed by SIGPIPE, but without a traceback).  All JSON
+output is canonical (sorted keys, no timestamps), so identical
+configuration and seed give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -41,8 +44,7 @@ from .lp import (
     build_stable_set_lp,
     is_integral,
     lp_format,
-    solve_dual,
-    solve_primal,
+    solve_game,
 )
 from .perfection import is_perfect
 
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_GUARD = 2
 EXIT_PROPERTY = 3
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for death by SIGPIPE
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,7 @@ def cmd_solve(args) -> int:
     g = _load_graph(config)
     cliques = maximal_cliques(g)
     worth = game_worth(g)
-    primal = solve_primal(g, cliques)
-    dual = solve_dual(g, cliques)
+    primal, dual = solve_game(g, cliques)
     if args.dump_lp:
         fracs = g.weights
         Path(args.dump_lp + ".primal.lp").write_text(
@@ -182,7 +184,10 @@ def cmd_verify(args) -> int:
         mapping[key] = amount
     try:
         imputation = Imputation.from_mapping(cliques, mapping)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message; print the message
+        raise _InputError(exc.args[0]) from exc
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if args.exhaustive:
         report = verify_core_exhaustive(g, cliques, imputation)
@@ -280,7 +285,11 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if summary["allOk"] else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it (about 2 ms) would otherwise be a fixed
+    cost of every in-process ``main`` call."""
     parser = _Parser(
         prog="cliquecore",
         description="Exact core imputations for the investment game on perfect graphs",
@@ -348,7 +357,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``cliquecore cliques ... | head -1``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again, and exit like a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,9 +20,16 @@ with variables ranging over the maximal cliques only (a multiplier on a
 non-maximal clique can always be moved onto a containing maximal clique,
 see :func:`cliquecore.core.lift_dual`).
 
-Solving either public problem solves both and checks strong duality as an
-exact rational equality; a mismatch raises immediately instead of
-returning a wrong certificate.
+One simplex solve yields both optima.  Every optimal solve also returns
+the row duals ``y = c_B B^-1`` of its final basis, read off the reduced
+costs of the columns that formed the starting identity (slacks, or
+artificials), and :func:`certify_optimum` checks primal feasibility, dual
+feasibility and equal objective values in exact arithmetic before the
+result is returned; a failed check raises instead of returning a wrong
+certificate.  The game solve therefore runs the stable-set LP alone,
+which starts feasible at its slack basis and skips phase 1, and takes the
+clique cover from its slack columns.  The cover LP builder stays as an
+independent reference and for ``--dump-lp``.
 """
 
 from __future__ import annotations
@@ -70,9 +77,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPResult:
+    """``duals[i]`` is the multiplier of row i in the dual of the LP (for
+    a max problem: >= 0 on "<=" rows, <= 0 on ">=" rows, free on "="
+    rows; signs reversed for min), set only when status is "optimal"."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: tuple[Fraction, ...] | None
     value: Fraction | None
+    duals: tuple[Fraction, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -92,16 +104,61 @@ class DualSolution:
 
 
 def solve_general(lp: LinearProgram) -> LPResult:
-    """Exact optimum of an arbitrary LP; basic (vertex) solution on success."""
+    """Exact optimum of an arbitrary LP with certified row duals.
+
+    On success ``x`` is a basic (vertex) solution and ``duals`` the
+    complementary basic dual solution of the same final basis.
+    """
     lp.validate()
     nv = len(lp.objective)
     sign = 1 if lp.direction == "max" else -1
     c = [sign * Fraction(x) for x in lp.objective]
-    status, x = _simplex_max(nv, lp.rows, lp.senses, lp.rhs, c)
+    status, x, duals = _simplex_max(nv, lp.rows, lp.senses, lp.rhs, c)
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
-    value = sum((lp.objective[j] * x[j] for j in range(nv)), ZERO)
-    return LPResult(status="optimal", x=tuple(x), value=value)
+    duals = [sign * y for y in duals]
+    value = certify_optimum(lp, x, duals)
+    return LPResult(status="optimal", x=tuple(x), value=value, duals=tuple(duals))
+
+
+def certify_optimum(
+    lp: LinearProgram, x: Sequence[Fraction], duals: Sequence[Fraction]
+) -> Fraction:
+    """Exact proof that ``x`` is optimal, with ``duals`` as the witness.
+
+    Checks that x is feasible, that the duals have the right sign for each
+    row sense and satisfy every dual column constraint, and that the two
+    objective values are equal.  Returns that value; raises RuntimeError
+    naming the first failed condition.
+    """
+    sign = 1 if lp.direction == "max" else -1
+    if any(v < 0 for v in x):
+        raise RuntimeError("certificate: x has a negative coordinate")
+    # price[j] = sum_i duals[i] * A[i][j]; dual feasibility is
+    # sign * (price[j] - c[j]) >= 0 for every variable j.
+    price = [ZERO] * len(lp.objective)
+    for i, row in enumerate(lp.rows):
+        lhs = sum((a * x[j] for j, a in row.items() if x[j]), ZERO)
+        sense, b, y = lp.senses[i], lp.rhs[i], duals[i]
+        if (sense == "<=" and lhs > b) or (sense == ">=" and lhs < b) or (
+            sense == "=" and lhs != b
+        ):
+            raise RuntimeError(f"certificate: x violates row {i}")
+        if (sense == "<=" and sign * y < 0) or (sense == ">=" and sign * y > 0):
+            raise RuntimeError(f"certificate: dual {i} has the wrong sign")
+        if y:
+            for j, a in row.items():
+                price[j] += a * y
+    for j, cj in enumerate(lp.objective):
+        if sign * (price[j] - cj) < 0:
+            raise RuntimeError(f"certificate: dual constraint of variable {j} violated")
+    value = sum((cj * v for cj, v in zip(lp.objective, x)), ZERO)
+    dual_value = sum((b * y for b, y in zip(lp.rhs, duals)), ZERO)
+    if value != dual_value:
+        raise RuntimeError(
+            f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"
+        )
+    return value
 
 
 def _simplex_max(
@@ -110,18 +167,27 @@ def _simplex_max(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     c: list[Fraction],
-) -> tuple[str, list[Fraction] | None]:
-    """Two-phase tableau simplex maximizing c.x, x >= 0."""
+) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
+    """Two-phase tableau simplex maximizing c.x, x >= 0.
+
+    Returns the status, the optimal x and the row duals of the final
+    basis.  Row i's dual is the final reduced cost of the column that was
+    its identity column in the starting tableau (its slack, or its
+    artificial, whose phase-2 cost is 0), negated when the row was
+    negated to make its right-hand side nonnegative.
+    """
     m = len(rows)
 
     # Normalize to nonnegative right-hand sides.
     norm_rows: list[dict[int, Fraction]] = []
     norm_senses: list[str] = []
     norm_rhs: list[Fraction] = []
+    flipped: list[bool] = []
     for i in range(m):
         b = Fraction(rhs[i])
         row = {j: Fraction(a) for j, a in rows[i].items() if a != 0}
         sense = senses[i]
+        flipped.append(b < 0)
         if b < 0:
             b = -b
             row = {j: -a for j, a in row.items()}
@@ -162,6 +228,7 @@ def _simplex_max(
             basis.append(art0 + i_art)
             i_art += 1
         tab.append(dense)
+    identity = list(basis)
 
     def pivot(pr: int, pc: int, z: list[Fraction]):
         prow = tab[pr]
@@ -231,7 +298,7 @@ def _simplex_max(
         if st != "optimal":  # phase 1 is bounded above by 0
             raise RuntimeError("phase 1 reported unbounded; solver invariant broken")
         if z1[ncols] != 0:
-            return "infeasible", None
+            return "infeasible", None, None
         # Drive zero-valued artificials out; drop rows that turn out redundant.
         drop: list[int] = []
         for i in range(m):
@@ -252,12 +319,13 @@ def _simplex_max(
     z2 = z_row_for(cost2)
     st = run(z2, art0)  # artificial columns can never re-enter
     if st == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None
     x = [ZERO] * nv
     for i in range(m):
         if basis[i] < nv:
             x[basis[i]] = tab[i][ncols]
-    return "optimal", x
+    duals = [-z2[j] if f else z2[j] for j, f in zip(identity, flipped)]
+    return "optimal", x, duals
 
 
 def build_stable_set_lp(
@@ -292,41 +360,38 @@ def build_clique_cover_lp(
     )
 
 
-def _solve_pair(g: WeightedGraph, cliques: CliqueSet) -> tuple[LPResult, LPResult]:
-    primal = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
-    dual = solve_general(build_clique_cover_lp(g.weights, cliques.cliques))
-    if primal.status != "optimal" or dual.status != "optimal":
-        raise RuntimeError(
-            f"game LPs must be solvable (primal {primal.status}, dual {dual.status})"
-        )
-    if primal.value != dual.value:
-        raise RuntimeError(
-            "strong duality violated: primal "
-            f"{fraction_str(primal.value)} != dual {fraction_str(dual.value)}"
-        )
-    return primal, dual
+def solve_game(g: WeightedGraph, cliques: CliqueSet) -> tuple[PrimalSolution, DualSolution]:
+    """Both game optima from one simplex solve of the stable-set LP.
+
+    The clique cover is the row-dual vector of the final basis, certified
+    exactly inside :func:`solve_general` (``y >= 0``, every vertex covered,
+    ``sum(y) == w.x``).  It is the basic dual solution complementary to
+    the primal basis: tight on the dual constraints of the basic columns,
+    which are linearly independent, so it is a vertex of the cover
+    polyhedron, and Bland's rule makes it deterministic.
+    """
+    res = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
+    if res.status != "optimal":
+        raise RuntimeError(f"the stable-set LP must be solvable, got {res.status}")
+    return PrimalSolution(x=res.x, value=res.value), DualSolution(y=res.duals, value=res.value)
 
 
 def solve_primal(g: WeightedGraph, cliques: CliqueSet) -> PrimalSolution:
-    """Exact optimal vertex of the fractional stable-set relaxation.
-
-    Also solves the dual and insists on exact strong duality before
-    returning.
-    """
-    primal, _ = _solve_pair(g, cliques)
-    return PrimalSolution(x=primal.x, value=primal.value)
+    """Exact optimal vertex of the fractional stable-set relaxation,
+    certified optimal by the dual of the same solve."""
+    return solve_game(g, cliques)[0]
 
 
 def solve_dual(g: WeightedGraph, cliques: CliqueSet) -> DualSolution:
     """Exact optimal vertex of the fractional clique-cover problem.
 
-    The dual is solved directly as its own LP rather than read off the
-    primal tableau, so the returned point is always a genuine dual vertex
-    even when the primal is degenerate.  Strong duality against the primal
-    optimum is checked exactly before returning.
+    Read off the final tableau of the stable-set LP (see
+    :func:`solve_game`) rather than solved as its own LP: the reduced
+    costs of the slack columns are ``y = c_B B^-1``, the dual basic
+    solution complementary to the optimal primal basis.  It is checked
+    exactly for feasibility and for strong duality before returning.
     """
-    _, dual = _solve_pair(g, cliques)
-    return DualSolution(y=dual.x, value=dual.value)
+    return solve_game(g, cliques)[1]
 
 
 def is_integral(solution) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import lp
@@ -281,11 +280,7 @@ def four_program_chain(g: WeightedGraph, zero_one_weights: Sequence[int]) -> Fou
     reweighted = g.with_weights(w01)
     ip = max_weight_stable_set(reweighted).total_cost
     cs = maximal_cliques(g)
-    fracs = [Fraction(x) for x in w01]
-    primal = lp.solve_general(lp.build_stable_set_lp(fracs, cs.cliques))
-    dual = lp.solve_general(lp.build_clique_cover_lp(fracs, cs.cliques))
-    if primal.status != "optimal" or dual.status != "optimal":
-        raise RuntimeError("chain LPs must be solvable")
+    primal, dual = lp.solve_game(reweighted, cs)
     id_value = min_integral_clique_cover_value(g, w01)
 
     report = FourProgramReport(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliquecore
 from cliquecore import paley3x3, serialize_graph
 from cliquecore.cli import main
 
@@ -101,6 +106,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", paley_file, imp)
         assert code == 1
         assert "not a maximal clique" in err
+
+    def test_unknown_clique_key_message_quoted_once(self, capsys, tmp_path, paley_file):
+        imp = self.write_imputation(tmp_path, {"0-1": "3"})
+        _, _, err = run(capsys, "verify", "--input", paley_file, imp)
+        assert err == "error: '0-1' is not a maximal clique of this graph\n"
 
     def test_empty_imputation_on_zero_worth_graph(self, capsys, tmp_path):
         graph = tmp_path / "one.graph"
@@ -232,3 +242,19 @@ class TestErrors:
         code, _, err = run(capsys, "solve", "--generate", "torus:4")
         assert code == 1
         assert "unknown generator" in err
+
+    def test_closed_stdout_exits_quietly(self):
+        # A pipe whose read end is already closed, as after `| head -1`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(cliquecore.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from cliquecore.cli import console_main; console_main()",
+                 "cliques", "--generate", "chordal:25", "--seed", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""  # no BrokenPipeError traceback
+        assert proc.returncode == 141

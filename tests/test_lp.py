@@ -7,17 +7,23 @@ from cliquecore import (
     LinearProgram,
     build_clique_cover_lp,
     build_stable_set_lp,
+    compute_core_imputation,
+    four_program_chain,
     is_integral,
     lp_format,
     maximal_cliques,
     paley3x3,
     solve_dual,
+    solve_game,
     solve_general,
     solve_primal,
 )
+from cliquecore import lp as lp_module
+from cliquecore.cli import main
+from cliquecore.lp import certify_optimum
 
 import _bruteforce as bf
-from conftest import graphs
+from conftest import graphs, random_graph
 
 F = Fraction
 
@@ -180,6 +186,114 @@ class TestGameLPs:
             return
         cs = maximal_cliques(g)
         assert solve_primal(g, cs).value >= bf.max_stable_value(g)
+
+
+def assert_matches_cover_lp(g):
+    """The tableau dual against the cover LP solved on its own."""
+    cs = maximal_cliques(g)
+    primal, dual = solve_game(g, cs)
+    y = dual.y
+    assert all(v >= 0 for v in y)
+    for v in range(g.n):
+        assert sum((y[c] for c in cs.member_index[v]), F(0)) >= g.weights[v]
+    reference = solve_general(build_clique_cover_lp(g.weights, cs.cliques))
+    assert sum(y, F(0)) == dual.value == reference.value == primal.value
+    for cid, q in enumerate(cs.cliques):
+        if y[cid] > 0:
+            assert sum((primal.x[v] for v in q), F(0)) == 1
+    for v in range(g.n):
+        if primal.x[v] > 0:
+            assert sum((y[c] for c in cs.member_index[v]), F(0)) == g.weights[v]
+
+
+class TestTableauDual:
+    @given(graphs(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_cover_lp_small(self, g):
+        assert_matches_cover_lp(g)
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(12, 19) for seed in (1, 2)])
+    def test_matches_cover_lp_random(self, n, seed):
+        assert_matches_cover_lp(random_graph(n, seed, max_weight=100))
+
+    @pytest.mark.parametrize(
+        "problem,value",
+        [
+            # x0 + x1 = 3, x0 >= 1 written as -x0 <= -1, x1 >= 1, x0 <= 5
+            (lp("max", [1, 1], [{0: 1, 1: 1}, {0: -1}, {1: 1}, {0: 1}],
+                ["=", "<=", ">=", "<="], [3, -1, 1, 5]), 3),
+            # a redundant equality row, dropped after phase 1
+            (lp("max", [1, 2], [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}],
+                ["=", "=", "<="], [2, 4, 1]), 3),
+            (lp("min", [1, 1], [{0: 1, 1: 1}, {0: 1}, {1: -1}],
+                [">=", "<=", "<="], [3, 2, -1]), 3),
+        ],
+    )
+    def test_duals_of_general_lps(self, problem, value):
+        # solve_general certifies the duals; check the dual value once more
+        res = solve_general(problem)
+        assert res.value == value
+        assert sum((b * y for b, y in zip(problem.rhs, res.duals)), F(0)) == value
+
+    @pytest.mark.parametrize(
+        "change,failure",
+        [
+            ([("first", -1)], "dual constraint"),  # a vertex uncovered
+            ([("first", 1)], "primal 3 != dual 4"),  # covering, total too high
+            ([("first", -1), ("second", 1)], "dual constraint"),  # same total
+            ([("unused", -1)], "wrong sign"),
+        ],
+    )
+    def test_certificate_rejects_tampered_dual(self, paley, change, failure):
+        cs = maximal_cliques(paley)
+        problem = build_stable_set_lp(paley.weights, cs.cliques)
+        res = solve_general(problem)
+        certify_optimum(problem, res.x, res.duals)
+        support = [c for c, v in enumerate(res.duals) if v > 0]
+        unused = [c for c, v in enumerate(res.duals) if v == 0]
+        pick = {"first": support[0], "second": support[1], "unused": unused[0]}
+        bad = list(res.duals)
+        for which, delta in change:
+            bad[pick[which]] += delta
+        with pytest.raises(RuntimeError, match=failure):
+            certify_optimum(problem, res.x, bad)
+
+    def test_solver_runs_the_certificate(self, paley, monkeypatch):
+        real = lp_module._simplex_max
+
+        def off_by_one(*args):
+            status, x, duals = real(*args)
+            return status, x, [duals[0] + 1] + duals[1:]
+
+        monkeypatch.setattr(lp_module, "_simplex_max", off_by_one)
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve_dual(paley, maximal_cliques(paley))
+
+
+class TestOneSimplexPerGame:
+    @pytest.fixture
+    def simplex_calls(self, monkeypatch):
+        calls = []
+        real = lp_module._simplex_max
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp_module, "_simplex_max", counting)
+        return calls
+
+    def test_cli_solve(self, simplex_calls, capsys):
+        assert main(["solve", "--generate", "paley3x3", "--json"]) == 0
+        assert len(simplex_calls) == 1
+
+    def test_compute_core_imputation(self, simplex_calls, paley):
+        compute_core_imputation(paley)
+        assert len(simplex_calls) == 1
+
+    def test_four_program_chain(self, simplex_calls, paley):
+        four_program_chain(paley, [1] * paley.n)
+        assert len(simplex_calls) == 1
 
 
 class TestIsIntegral:
