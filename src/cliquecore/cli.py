@@ -87,15 +87,11 @@ def _load_graph(config: RunConfig) -> WeightedGraph:
             text = Path(config.input_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise _InputError(f"cannot read {config.input_path}: {exc}") from exc
-        g = parse_graph(text)
-    else:
-        try:
-            g = from_spec(config.generate_spec, seed=config.seed)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-    if config.max_n is not None and g.n > config.max_n:
-        raise GuardError(f"graph has {g.n} vertices, --max-n is {config.max_n}")
-    return g
+        return parse_graph(text, max_n=config.max_n)
+    try:
+        return from_spec(config.generate_spec, seed=config.seed, max_n=config.max_n)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _config(args) -> RunConfig:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice, repeat
+from operator import add, lt, mul
 from typing import Iterable, Mapping
 
 from . import oracle
@@ -31,6 +33,7 @@ from .graph import (
     make_scenario,
     mask_to_scenario,
     scenario_mask,
+    to_int_scale,
 )
 from .lp import solve_dual
 
@@ -116,6 +119,13 @@ class CoreReport:
         }
 
 
+def _check_length(cliques: CliqueSet, imputation: Imputation) -> None:
+    if len(imputation.values) != len(cliques):
+        raise ValueError(
+            f"imputation indexes {len(imputation.values)} cliques, graph has {len(cliques)}"
+        )
+
+
 def game_worth(g: WeightedGraph) -> Fraction:
     """Total money of the agent: cost of the optimal investment in the
     whole-graph scenario."""
@@ -130,10 +140,7 @@ def money(
 ) -> Fraction:
     """Money available in a scenario: the sum over maximal cliques that
     intersect it.  money(empty) = 0."""
-    if len(imputation.values) != len(cliques):
-        raise ValueError(
-            f"imputation indexes {len(imputation.values)} cliques, graph has {len(cliques)}"
-        )
+    _check_length(cliques, imputation)
     smask = scenario_mask(make_scenario(scenario, g.n))
     total = ZERO
     for cid, cmask in enumerate(cliques.masks):
@@ -173,10 +180,7 @@ def verify_core_certificate(
     reported as the violated singleton scenario {v}, whose available money
     is exactly v's coverage and whose cost is w_v.
     """
-    if len(imputation.values) != len(cliques):
-        raise ValueError(
-            f"imputation indexes {len(imputation.values)} cliques, graph has {len(cliques)}"
-        )
+    _check_length(cliques, imputation)
     worth = game_worth(g)
     total = imputation.total
     if total != worth:
@@ -210,14 +214,45 @@ def verify_core_certificate(
     )
 
 
+def _subset_sums(amounts: Mapping[int, int], bits: int) -> list[int]:
+    """Subset-sum (zeta) transform: entry M is the sum of ``amounts[m]``
+    over every ``m`` contained in M, for each M below ``2^bits``.
+
+    Splits on the top bit, so a sparse input costs list copies where a
+    dense one costs the bits * 2^bits additions of the standard transform
+    (Yates 1937; Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets
+    Mobius", STOC 2007).
+    """
+    if not amounts:
+        return [0] * (1 << bits)
+    if bits == 0:
+        return [amounts[0]]
+    top = 1 << (bits - 1)
+    without = {m: a for m, a in amounts.items() if not m & top}
+    with_top = {m ^ top: a for m, a in amounts.items() if m & top}
+    lower = _subset_sums(without, bits - 1)
+    if not with_top:
+        return lower + lower
+    return lower + list(map(add, lower, _subset_sums(with_top, bits - 1)))
+
+
 class ExhaustiveChecker:
     """Scenario-by-scenario core check with shared precomputation.
 
-    Building one checker precomputes the per-subset optimal-investment
-    costs once; ``check`` can then be run against many candidate vectors
-    cheaply.  Scenarios are scanned in ascending bitmask order and the
-    first violated one is reported, so counterexamples are deterministic
-    and diffable.
+    Building one checker computes the subset cost table once, in ints
+    scaled by the weights' common denominator ``scale``
+    (see ``oracle.subset_cost_table``); ``check`` can then be run against
+    many candidate vectors cheaply.  Scenarios are scanned in ascending
+    bitmask order and the first violated one is reported, so
+    counterexamples are deterministic and diffable.
+
+    ``check`` scales the imputation to ints as well and computes money one
+    block ``[2^v, 2^(v+1))`` of scenarios at a time: for T below 2^v,
+    money(T + {v}) is money(T) plus the money of the firms at v that miss
+    T, which one subset-sum transform over the v lower bits gives for
+    every T at once.  Each block is compared with the cost table before
+    the next is built, so a violation in an early scenario costs only the
+    blocks below it, and a full scan about n * 2^n int additions.
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
@@ -227,15 +262,12 @@ class ExhaustiveChecker:
             )
         self.g = g
         self.cliques = cliques
+        self.scale = to_int_scale(g.weights)[0]
         self.cost_table = oracle.subset_cost_table(g)
-        self.worth = self.cost_table[(1 << g.n) - 1]
+        self.worth = Fraction(self.cost_table[-1], self.scale)
 
     def check(self, imputation: Imputation) -> CoreReport:
-        if len(imputation.values) != len(self.cliques):
-            raise ValueError(
-                f"imputation indexes {len(imputation.values)} cliques, "
-                f"graph has {len(self.cliques)}"
-            )
+        _check_length(self.cliques, imputation)
         total = imputation.total
         if total != self.worth:
             return CoreReport(
@@ -245,29 +277,43 @@ class ExhaustiveChecker:
                 violation=None,
                 scenarios_checked=0,
             )
-        masks = self.cliques.masks
-        values = imputation.values
+        # Money is held in units of 1/(scale * money_scale) and costs in
+        # units of 1/scale, so money >= cost compares money to
+        # money_scale * cost.
+        money_scale, amounts = to_int_scale(imputation.values)
         live = [
-            (cmask, val) for cmask, val in zip(masks, values) if val != 0
+            (cmask, a * self.scale)
+            for cmask, a in zip(self.cliques.masks, amounts)
+            if a
         ]
-        for smask in range(1 << self.g.n):
-            available = ZERO
-            for cmask, val in live:
-                if cmask & smask:
-                    available += val
-            needed = self.cost_table[smask]
-            if available < needed:
+        money = [0]  # of every scenario below 2^v
+        for v in range(self.g.n):
+            half = 1 << v
+            firms: dict[int, int] = {}
+            for cmask, a in live:
+                if cmask >> v & 1:
+                    low = cmask & (half - 1)
+                    firms[low] = firms.get(low, 0) + a
+            # The firms at v that miss T are those whose lower part fits in
+            # the complement of T, the mirror image of T in the block.
+            block = list(map(add, money, reversed(_subset_sums(firms, v))))
+            need = islice(self.cost_table, half, 2 * half)
+            if money_scale != 1:
+                need = map(mul, need, repeat(money_scale))
+            bad = next(compress(count(half), map(lt, block, need)), None)
+            if bad is not None:
                 return CoreReport(
                     verdict=VERDICT_VIOLATED,
                     total_money=total,
                     game_worth=self.worth,
                     violation=Violation(
-                        scenario=mask_to_scenario(smask),
-                        money=available,
-                        cost=needed,
+                        scenario=mask_to_scenario(bad),
+                        money=Fraction(block[bad - half], self.scale * money_scale),
+                        cost=Fraction(self.cost_table[bad], self.scale),
                     ),
-                    scenarios_checked=smask + 1,
+                    scenarios_checked=bad + 1,
                 )
+            money += block
         return CoreReport(
             verdict=VERDICT_IN_CORE,
             total_money=total,
@@ -345,10 +391,7 @@ def restrict_dual(
     s = make_scenario(scenario, g.n)
     if not s:
         raise ValueError("scenario must be nonempty")
-    if len(imputation.values) != len(cliques):
-        raise ValueError(
-            f"imputation indexes {len(imputation.values)} cliques, graph has {len(cliques)}"
-        )
+    _check_length(cliques, imputation)
     smask = scenario_mask(s)
     out: dict[tuple[int, ...], Fraction] = {}
     for cid, cmask in enumerate(cliques.masks):

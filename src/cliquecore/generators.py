@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_vertex_count
 
 
 def paley3x3() -> WeightedGraph:
@@ -121,24 +121,31 @@ def _draw_weights(rng, n, unit_weights, weight_range):
 FAMILIES = ("paley3x3", "cycle", "complete", "path", "bipartite", "chordal")
 
 
-def from_spec(spec: str, seed: int | None = None) -> WeightedGraph:
+def from_spec(spec: str, seed: int | None = None, max_n: int | None = None) -> WeightedGraph:
     """Build a graph from a compact spec string.
 
     Forms: ``paley3x3``, ``cycle:K``, ``complete:K``, ``path:K``,
     ``bipartite:N[:P]`` (P defaults to 0.5), ``chordal:N``.  The random
-    families raise if no seed is supplied.
+    families raise if no seed is supplied.  A spec for more than ``max_n``
+    vertices raises GuardError before any edge is built.
     """
     parts = spec.split(":")
     family, args = parts[0], parts[1:]
 
+    def vertex_count(text):
+        n = int(text)
+        check_vertex_count(n, max_n)
+        return n
+
     def one_int(name):
         if len(args) != 1:
             raise ValueError(f"{name} spec takes exactly one parameter")
-        return int(args[0])
+        return vertex_count(args[0])
 
     if family == "paley3x3":
         if args:
             raise ValueError("paley3x3 takes no parameters")
+        check_vertex_count(9, max_n)
         return paley3x3()
     if family == "cycle":
         return cycle(one_int("cycle"))
@@ -151,9 +158,9 @@ def from_spec(spec: str, seed: int | None = None) -> WeightedGraph:
             raise ValueError(f"{family} is a random family and needs a seed")
         if family == "bipartite":
             if len(args) == 1:
-                return random_bipartite(int(args[0]), 0.5, seed)
+                return random_bipartite(vertex_count(args[0]), 0.5, seed)
             if len(args) == 2:
-                return random_bipartite(int(args[0]), float(args[1]), seed)
+                return random_bipartite(vertex_count(args[0]), float(args[1]), seed)
             raise ValueError("bipartite spec is bipartite:N[:P]")
         return random_chordal(one_int("chordal"), seed)
     raise ValueError(f"unknown generator family {family!r}")

@@ -11,12 +11,13 @@ instances can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import GraphParseError
+from .errors import GraphParseError, GuardError
 
 #: A scenario is a sorted, duplicate-free tuple of vertex ids.
 Scenario = tuple[int, ...]
@@ -34,6 +35,20 @@ def parse_fraction(text: str) -> Fraction:
 def fraction_str(value: Fraction) -> str:
     """Canonical text form: ``"3"`` or ``"5/2"`` (reduced, positive denominator)."""
     return str(Fraction(value))
+
+
+def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Exact integer form of a rational vector: ``(D, [D * x for x in values])``
+    with D the least common multiple of the denominators (1 for an empty
+    or all-integer vector), so ``Fraction(ints[i], D) == values[i]``."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def check_vertex_count(n: int, max_n: int | None) -> None:
+    """Raise GuardError when a graph of n vertices exceeds ``max_n``."""
+    if max_n is not None and n > max_n:
+        raise GuardError(f"graph has {n} vertices, --max-n is {max_n}")
 
 
 @dataclass(frozen=True)
@@ -102,17 +117,10 @@ class WeightedGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(self.n) if self.adj[v] >> u & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -120,11 +128,6 @@ class WeightedGraph:
     def with_weights(self, weights: Iterable[Fraction | int]) -> "WeightedGraph":
         """Same structure, different cost vector."""
         return WeightedGraph.from_edges(self.n, self.edges, weights, self.labels)
-
-    def vertex_name(self, v: int) -> str:
-        if self.labels is not None:
-            return self.labels[v]
-        return str(v)
 
 
 def make_scenario(members: Iterable[int], n: int) -> Scenario:
@@ -185,7 +188,7 @@ def complement(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph.from_edges(g.n, edges, g.weights, g.labels)
 
 
-def parse_graph(text: str) -> WeightedGraph:
+def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
     """Parse the line-oriented graph file format.
 
     Format (``#`` starts a comment, blank lines ignored)::
@@ -195,7 +198,9 @@ def parse_graph(text: str) -> WeightedGraph:
         w <v> <num>[/<den>]  vertex cost; defaults to 1 when absent
         l <v> <name>       optional display label
 
-    Every malformed construct is reported with its line number.
+    Every malformed construct is reported with its line number.  A header
+    declaring more than ``max_n`` vertices raises GuardError before
+    anything is allocated for them.
     """
     n: int | None = None
     declared_m = 0
@@ -236,6 +241,7 @@ def parse_graph(text: str) -> WeightedGraph:
                 fail("header counts must be integers", lineno)
             if n < 0 or declared_m < 0:
                 fail("header counts must be nonnegative", lineno)
+            check_vertex_count(n, max_n)
         elif kind == "e":
             if len(parts) != 3:
                 fail("edge line must be 'e <u> <v>'", lineno)

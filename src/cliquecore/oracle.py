@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import lp
 from .cliques import maximal_cliques
 from .errors import GuardError
-from .graph import WeightedGraph, induced_subgraph, make_scenario
+from .graph import WeightedGraph, induced_subgraph, make_scenario, to_int_scale
 
 MAX_STABLE_SET_N = 30
 MAX_COVER_N = 20
@@ -132,23 +132,30 @@ def cost(g: WeightedGraph, scenario: Iterable[int]) -> Fraction:
     return max_weight_stable_set(sub).total_cost
 
 
-def subset_cost_table(g: WeightedGraph) -> list[Fraction]:
-    """cost(S) for every vertex subset S, indexed by bitmask.
+def subset_cost_table(g: WeightedGraph) -> list[int]:
+    """Scaled cost(S) for every vertex subset S, indexed by bitmask.
 
-    Dynamic program over masks: drop the lowest vertex or take it and drop
-    its closed neighborhood.  Used by the exhaustive core checker, where
+    Entry ``mask`` is the int ``D * cost(S)``, where D is the common
+    denominator of the weights (``to_int_scale(g.weights)[0]``, 1 for
+    integer weights), so ``Fraction(table[mask], D) == cost(g, S)``.
+
+    Built one highest vertex v at a time: a set whose highest vertex is v
+    either skips v or takes v and drops v's neighbours, and both of those
+    sets lie in the half already built, so block ``[2^v, 2^(v+1))`` is one
+    pass over ``table[:2^v]``.  Used by the exhaustive core checker, where
     every one of the 2^n scenarios is consulted.
     """
     if g.n > MAX_COST_TABLE_N:
         raise GuardError(f"subset cost table capped at n <= {MAX_COST_TABLE_N}")
-    w = g.weights
-    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
-    table = [ZERO] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        v = (mask & -mask).bit_length() - 1
-        skip = table[mask & ~(1 << v)]
-        take = w[v] + table[mask & ~closed[v]]
-        table[mask] = take if take > skip else skip
+    _, w = to_int_scale(g.weights)
+    table = [0]
+    for v in range(g.n):
+        keep = ~g.adj[v] & ((1 << v) - 1)
+        wv = w[v]
+        table += [
+            skip if skip > (take := wv + table[t & keep]) else take
+            for t, skip in enumerate(table)
+        ]
     return table
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cliquecore
-from cliquecore import paley3x3, serialize_graph
+from cliquecore import WeightedGraph, paley3x3, serialize_graph
 from cliquecore.cli import main
 
 
@@ -152,6 +152,31 @@ class TestCheckPerfect:
         )
         assert code == 2
         assert "guard" in err
+
+
+class TestGuardBeforeWork:
+    """--max-n rejects a graph on its header or its spec alone."""
+
+    @pytest.fixture
+    def no_graph_built(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a graph was built before the guard fired")
+
+        monkeypatch.setattr(WeightedGraph, "from_edges", classmethod(refuse))
+
+    def test_huge_header(self, capsys, tmp_path, no_graph_built):
+        path = tmp_path / "huge.graph"
+        path.write_text("p 300000 0")
+        code, out, err = run(capsys, "solve", "--input", str(path), "--max-n", "10")
+        assert (code, out) == (2, "")
+        assert err == "guard: graph has 300000 vertices, --max-n is 10\n"
+
+    def test_huge_spec(self, capsys, no_graph_built):
+        code, out, err = run(
+            capsys, "solve", "--generate", "complete:3000", "--max-n", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == "guard: graph has 3000 vertices, --max-n is 10\n"
 
 
 class TestCliquesAndGenerate:

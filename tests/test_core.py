@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from cliquecore import (
+    CoreReport,
     DualGapError,
+    ExhaustiveChecker,
     Imputation,
+    Violation,
     WeightedGraph,
     compute_core_imputation,
+    cost,
     cycle,
     game_worth,
     lift_dual,
@@ -22,6 +26,7 @@ from cliquecore import (
     verify_core_exhaustive,
 )
 from cliquecore.corpus import build_corpus, infeasible_total_vectors, scaled_to_total
+from cliquecore.graph import mask_to_scenario
 
 import _bruteforce as bf
 from conftest import graphs
@@ -207,6 +212,73 @@ class TestVerifyExhaustive:
             ours = verify_core_exhaustive(g, cs, imp)
             naive_ok, _ = bf.core_by_definition(g, cs, imp)
             assert ours.in_core == naive_ok
+
+
+def reference_exhaustive(g, cs, imp, costs):
+    """Slow reference for the exhaustive check: every scenario in ascending
+    mask order, its money from ``money`` and its cost from ``costs[mask]``
+    (``oracle.cost``), neither of which uses the subset cost table."""
+    worth = game_worth(g)
+    total = imp.total
+    if total != worth:
+        return CoreReport("not-an-imputation", total, worth, None, 0)
+    for mask in range(1 << g.n):
+        scenario = mask_to_scenario(mask)
+        have = money(g, cs, imp, scenario)
+        if have < costs[mask]:
+            violation = Violation(scenario, have, costs[mask])
+            return CoreReport("violated", total, worth, violation, mask + 1)
+    return CoreReport("in-core", total, worth, None, 1 << g.n)
+
+
+class TestExhaustiveAgainstReference:
+    """The whole report (verdict, first violated scenario, its money and
+    cost, scenarios checked) equals the per-scenario reference, on
+    fractional weights and fractional imputations."""
+
+    def test_fractional_weights_and_imputations(self):
+        rng = random.Random(2024)
+        verdicts = []
+        for trial in range(60):
+            n = rng.randint(1, 8)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+            ]
+            weights = [F(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+            g = WeightedGraph.from_edges(n, edges, weights)
+            cs = maximal_cliques(g)
+            costs = [cost(g, mask_to_scenario(m)) for m in range(1 << n)]
+            worth = costs[-1]
+            vectors = []
+            try:
+                vectors.append(compute_core_imputation(g, cs))
+            except DualGapError:
+                pass
+            for _ in range(3):
+                raw = [rng.randint(0, 9) * rng.randint(0, 1) for _ in cs.cliques]
+                if sum(raw) == 0:
+                    raw[0] = 1
+                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+            vectors.append(Imputation(values=(worth + F(1, 7),) + (F(0),) * (len(cs) - 1)))
+            checker = ExhaustiveChecker(g, cs)
+            for imp in vectors:
+                ours = checker.check(imp)
+                assert ours == reference_exhaustive(g, cs, imp, costs), (trial, imp)
+                verdicts.append(ours.verdict)
+        assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
+
+    def test_fractional_optimal_duals_in_core(self):
+        rng = random.Random(7)
+        for inst in build_corpus(10, seed=31, n_min=3, n_max=7):
+            g = inst.graph.with_weights(
+                [F(rng.randint(0, 20), rng.choice((1, 2, 3, 5))) for _ in range(inst.graph.n)]
+            )
+            cs = maximal_cliques(g)
+            costs = [cost(g, mask_to_scenario(m)) for m in range(1 << g.n)]
+            imp = compute_core_imputation(g, cs)
+            ours = verify_core_exhaustive(g, cs, imp)
+            assert ours.in_core
+            assert ours == reference_exhaustive(g, cs, imp, costs)
 
 
 class TestCertificateEquivalence:

@@ -14,7 +14,7 @@ from cliquecore import (
     paley3x3,
     subset_cost_table,
 )
-from cliquecore.graph import scenario_mask
+from cliquecore.graph import scenario_mask, to_int_scale
 
 import _bruteforce as bf
 from conftest import graphs, random_graph
@@ -97,6 +97,17 @@ class TestCost:
         table = subset_cost_table(g)
         for s in bf.subsets(g.n):
             assert table[scenario_mask(s)] == cost(g, s)
+
+    def test_subset_table_scaled_by_common_denominator(self):
+        g = random_graph(7, seed=23).with_weights(
+            [Fraction(k, d) for k, d in zip((3, 1, 7, 0, 5, 9, 4), (2, 3, 4, 1, 6, 5, 3))]
+        )
+        scale, _ = to_int_scale(g.weights)
+        assert scale == 60
+        table = subset_cost_table(g)
+        assert all(type(x) is int for x in table)
+        for s in bf.subsets(g.n):
+            assert Fraction(table[scenario_mask(s)], scale) == cost(g, s)
 
 
 class TestIntegralCliqueCover:
