@@ -32,6 +32,7 @@ from .core import (
 from .errors import DualGapError, GraphParseError, GuardError
 from .generators import from_spec
 from .graph import (
+    DEFAULT_MAX_N,
     WeightedGraph,
     fraction_str,
     graph_to_json_dict,
@@ -85,7 +86,7 @@ def _load_graph(config: RunConfig) -> WeightedGraph:
     if config.input_path is not None:
         try:
             text = Path(config.input_path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {config.input_path}: {exc}") from exc
         return parse_graph(text, max_n=config.max_n)
     try:
@@ -167,7 +168,9 @@ def cmd_verify(args) -> int:
     cliques = maximal_cliques(g)
     try:
         raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers too long to
+        # convert; RecursionError, arrays or objects nested too deeply.
         raise _InputError(f"cannot read imputation file: {exc}") from exc
     if not isinstance(raw, dict):
         raise _InputError("imputation file must be a JSON object")
@@ -298,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--generate", metavar="SPEC", help="generator spec, e.g. paley3x3, cycle:5")
         p.add_argument("--seed", type=int, help="seed for random generators")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--max-n", type=int, dest="max_n", help="refuse graphs larger than this")
+        p.add_argument(
+            "--max-n", type=int, dest="max_n",
+            help=f"refuse graphs larger than this (default {DEFAULT_MAX_N})",
+        )
 
     p = sub.add_parser("solve", help="worth, primal optimum and dual imputation")
     add_common(p)

@@ -127,7 +127,8 @@ def from_spec(spec: str, seed: int | None = None, max_n: int | None = None) -> W
     Forms: ``paley3x3``, ``cycle:K``, ``complete:K``, ``path:K``,
     ``bipartite:N[:P]`` (P defaults to 0.5), ``chordal:N``.  The random
     families raise if no seed is supplied.  A spec for more than ``max_n``
-    vertices raises GuardError before any edge is built.
+    vertices (``graph.DEFAULT_MAX_N`` when ``max_n`` is None) raises
+    GuardError before any edge is built.
     """
     parts = spec.split(":")
     family, args = parts[0], parts[1:]

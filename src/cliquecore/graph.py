@@ -41,13 +41,36 @@ def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Exact integer form of a rational vector: ``(D, [D * x for x in values])``
     with D the least common multiple of the denominators (1 for an empty
     or all-integer vector), so ``Fraction(ints[i], D) == values[i]``."""
-    scale = math.lcm(*(x.denominator for x in values))
+    # Unpack a list, not a generator: CPython sizes the argument tuple of a
+    # generator by resizing a guess, and in a loop that leaves up to 2000
+    # spare tuples of each small size on its free lists (about 2 MB of
+    # resident memory when every simplex row is scaled here).
+    scale = math.lcm(*[x.denominator for x in values])
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
+#: Vertex ceiling for :func:`parse_graph` and ``generators.from_spec`` when
+#: no ``max_n`` (``--max-n``) is given.  Far above every graph the verbs can
+#: solve (each exact search has its own guard at n <= 30) and every graph
+#: of the tests, demos and benchmark (at most 25 vertices without
+#: ``--max-n``), it leaves room for ``cliques`` and ``generate`` while
+#: keeping a header or a spec from allocating unbounded work:
+#: ``complete:500`` builds 124,750 edges, and clique enumeration, which
+#: recurses once per clique member, stays well inside Python's default
+#: recursion limit of 1000.
+DEFAULT_MAX_N = 500
+
+
 def check_vertex_count(n: int, max_n: int | None) -> None:
-    """Raise GuardError when a graph of n vertices exceeds ``max_n``."""
-    if max_n is not None and n > max_n:
+    """Raise GuardError when a graph of n vertices exceeds ``max_n``, or
+    :data:`DEFAULT_MAX_N` when ``max_n`` is None."""
+    if max_n is None:
+        if n > DEFAULT_MAX_N:
+            raise GuardError(
+                f"graph has {n} vertices, above the default ceiling of {DEFAULT_MAX_N}"
+                " (raise it with --max-n)"
+            )
+    elif n > max_n:
         raise GuardError(f"graph has {n} vertices, --max-n is {max_n}")
 
 
@@ -199,8 +222,9 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
         l <v> <name>       optional display label
 
     Every malformed construct is reported with its line number.  A header
-    declaring more than ``max_n`` vertices raises GuardError before
-    anything is allocated for them.
+    declaring more than ``max_n`` vertices (:data:`DEFAULT_MAX_N` when
+    ``max_n`` is None) raises GuardError before anything is allocated for
+    them.
     """
     n: int | None = None
     declared_m = 0

@@ -1,10 +1,13 @@
 """Exact linear programming over rationals, plus the two game LPs.
 
-The solver is a dense two-phase primal simplex on ``fractions.Fraction``
-with Bland's smallest-index rule for both the entering and the leaving
-choice.  Bland's rule guarantees termination under degeneracy and makes
-every run reproducible: identical input yields the identical basis, hence
-the identical optimal vertex.  There is no floating-point fast path.
+The solver is a dense two-phase primal simplex with Bland's smallest-index
+rule for both the entering and the leaving choice.  It pivots on integer
+rows, each over one positive integer denominator of its own, so every
+entry is exact without a ``fractions.Fraction`` per entry; the optimum
+comes back as Fractions.  Bland's rule guarantees termination under
+degeneracy and makes every run reproducible: identical input yields the
+identical basis, hence the identical optimal vertex.  No floating point
+enters anywhere.
 
 The two problem builders are the fractional-stable-set relaxation
 
@@ -26,10 +29,12 @@ costs of the columns that formed the starting identity (slacks, or
 artificials), and :func:`certify_optimum` checks primal feasibility, dual
 feasibility and equal objective values in exact arithmetic before the
 result is returned; a failed check raises instead of returning a wrong
-certificate.  The game solve therefore runs the stable-set LP alone,
-which starts feasible at its slack basis and skips phase 1, and takes the
-clique cover from its slack columns.  The cover LP builder stays as an
-independent reference and for ``--dump-lp``.
+certificate.  The check runs on Fractions, apart from the integer
+tableau, so it also guards the pivoting code.  The game solve therefore
+runs the stable-set LP alone, which starts feasible at its slack basis
+and skips phase 1, and takes the clique cover from its slack columns.
+The cover LP builder stays as an independent reference and for
+``--dump-lp``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cliques import CliqueSet
-from .graph import WeightedGraph, fraction_str
+from .graph import WeightedGraph, fraction_str, to_int_scale
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -168,33 +173,30 @@ def _simplex_max(
     rhs: Sequence[Fraction],
     c: list[Fraction],
 ) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
-    """Two-phase tableau simplex maximizing c.x, x >= 0.
+    """Two-phase tableau simplex maximizing c.x, x >= 0, pivoting on ints.
+
+    Every tableau row, the objective row included, is a list of Python
+    ints over one positive int denominator of its own (row i stands for
+    ``tab[i] / den[i]``), kept in lowest terms by a gcd after each
+    update, so the arithmetic is exact without a Fraction per entry
+    (fraction-free pivoting: Edmonds 1967; Bareiss 1968).  Every sign
+    test is a test on an int, and the ratio test cross-multiplies, so
+    the Bland choices, the pivot sequence and the final basis are those
+    of the same simplex on Fractions.
 
     Returns the status, the optimal x and the row duals of the final
-    basis.  Row i's dual is the final reduced cost of the column that was
-    its identity column in the starting tableau (its slack, or its
-    artificial, whose phase-2 cost is 0), negated when the row was
-    negated to make its right-hand side nonnegative.
+    basis, as Fractions.  Row i's dual is the final reduced cost of the
+    column that was its identity column in the starting tableau (its
+    slack, or its artificial, whose phase-2 cost is 0), negated when the
+    row was negated to make its right-hand side nonnegative.
     """
     m = len(rows)
 
-    # Normalize to nonnegative right-hand sides.
-    norm_rows: list[dict[int, Fraction]] = []
-    norm_senses: list[str] = []
-    norm_rhs: list[Fraction] = []
-    flipped: list[bool] = []
-    for i in range(m):
-        b = Fraction(rhs[i])
-        row = {j: Fraction(a) for j, a in rows[i].items() if a != 0}
-        sense = senses[i]
-        flipped.append(b < 0)
-        if b < 0:
-            b = -b
-            row = {j: -a for j, a in row.items()}
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        norm_rows.append(row)
-        norm_senses.append(sense)
-        norm_rhs.append(b)
+    # Negate each row with a negative right-hand side, flipping its sense.
+    flipped = [b < 0 for b in rhs]
+    norm_senses = [
+        {"<=": ">=", ">=": "<=", "=": "="}[s] if f else s for s, f in zip(senses, flipped)
+    ]
 
     n_le = sum(1 for s in norm_senses if s == "<=")
     n_ge = sum(1 for s in norm_senses if s == ">=")
@@ -204,99 +206,120 @@ def _simplex_max(
     art0 = nv + n_le + n_ge
     ncols = art0 + n_art
 
-    tab: list[list[Fraction]] = []
+    # Row i scaled by the LCM of its own denominators: its slack or
+    # artificial entry is den[i], not 1.
+    tab: list[list[int]] = []
+    den: list[int] = []
     basis: list[int] = []
     i_le = i_ge = i_art = 0
     for i in range(m):
-        dense = [ZERO] * (ncols + 1)
-        for j, a in norm_rows[i].items():
-            dense[j] = a
-        dense[ncols] = norm_rhs[i]
+        row, b = rows[i], rhs[i]
+        sign = -1 if flipped[i] else 1
+        d, ints = to_int_scale([*row.values(), b])
+        dense = [0] * (ncols + 1)
+        for j, a in zip(row, ints):
+            dense[j] = sign * a
+        dense[ncols] = sign * ints[-1]
         s = norm_senses[i]
         if s == "<=":
-            dense[slack0 + i_le] = ONE
+            dense[slack0 + i_le] = d
             basis.append(slack0 + i_le)
             i_le += 1
         elif s == ">=":
-            dense[surplus0 + i_ge] = -ONE
+            dense[surplus0 + i_ge] = -d
             i_ge += 1
-            dense[art0 + i_art] = ONE
+            dense[art0 + i_art] = d
             basis.append(art0 + i_art)
             i_art += 1
         else:
-            dense[art0 + i_art] = ONE
+            dense[art0 + i_art] = d
             basis.append(art0 + i_art)
             i_art += 1
         tab.append(dense)
+        den.append(d)
     identity = list(basis)
 
-    def pivot(pr: int, pc: int, z: list[Fraction]):
+    def store(i: int, row: list[int], d: int):
+        # Lowest terms: divide the row and its denominator by their gcd.
+        if d > 1 and (g := math.gcd(d, *row)) > 1:
+            row = [a // g for a in row]
+            d //= g
+        tab[i] = row
+        den[i] = d
+
+    def pivot(pr: int, pc: int):
+        # Also updates the objective row, which sits at tab[m] while a
+        # phase runs.  Dividing row pr by its pivot entry leaves the same
+        # ints over the pivot entry (sign moved into the row).
         prow = tab[pr]
-        piv = prow[pc]
-        if piv != 1:
-            inv = ONE / piv
-            tab[pr] = prow = [a * inv for a in prow]
-        for row in tab:
-            if row is prow:
-                continue
+        p = prow[pc]
+        if p < 0:
+            prow = [-a for a in prow]
+            p = -p
+        store(pr, prow, p)
+        prow, p = tab[pr], den[pr]
+        # Row i becomes (p * row - f * prow) / (den[i] * p).  Rows are
+        # mostly zeros and p is mostly 1, so scale only when p > 1 and
+        # subtract only at the pivot row's nonzero entries.
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for i, row in enumerate(tab):
             f = row[pc]
-            if f:
-                for j, a in enumerate(prow):
-                    if a:
-                        row[j] -= f * a
-        f = z[pc]
-        if f:
-            for j, a in enumerate(prow):
-                if a:
-                    z[j] -= f * a
+            if f and i != pr:
+                if p > 1:
+                    row = [p * a for a in row]
+                for j, b in nonzero:
+                    row[j] -= f * b
+                store(i, row, den[i] * p)
         basis[pr] = pc
 
-    def run(z: list[Fraction], banned_from: int) -> str:
-        # z[j] = c_B.B^-1.A_j - c_j ; optimal when all z >= 0 (maximization)
+    def run(banned_from: int) -> str:
+        # z = tab[m]: z[j] = c_B.B^-1.A_j - c_j ; optimal when all z >= 0
+        z = tab[m]
         while True:
-            pc = -1
-            for j in range(banned_from):
-                if z[j] < 0:
-                    pc = j
-                    break
+            pc = next((j for j in range(banned_from) if z[j] < 0), -1)
             if pc < 0:
                 return "optimal"
+            # Bland's ratio test on b_i / a_i, cross-multiplied (a > 0).
             pr = -1
-            best_ratio = None
-            best_var = None
             for i in range(m):
-                a = tab[i][pc]
+                row = tab[i]
+                a = row[pc]
                 if a > 0:
-                    ratio = tab[i][ncols] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < best_var)
-                    ):
-                        best_ratio, best_var, pr = ratio, basis[i], i
+                    b = row[ncols]
+                    if pr < 0:
+                        pr, best_a, best_b = i, a, b
+                        continue
+                    left, right = b * best_a, best_b * a
+                    if left < right or (left == right and basis[i] < basis[pr]):
+                        pr, best_a, best_b = i, a, b
             if pr < 0:
                 return "unbounded"
-            pivot(pr, pc, z)
+            pivot(pr, pc)
+            z = tab[m]
 
-    def z_row_for(cost: list[Fraction]) -> list[Fraction]:
-        z = [-cost[j] for j in range(ncols)] + [ZERO]
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb:
-                row = tab[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        z[j] += cb * row[j]
-        return z
+    def push_objective(cost: list[Fraction]):
+        # Appends z = c_B.B^-1.A - c over one common denominator as tab[m].
+        terms = [(cost[basis[i]], i) for i in range(m) if cost[basis[i]]]
+        d = math.lcm(
+            *(cj.denominator for cj in cost),
+            *(cb.denominator * den[i] for cb, i in terms),
+        )
+        z = [-cj.numerator * (d // cj.denominator) for cj in cost] + [0]
+        for cb, i in terms:
+            k = cb.numerator * (d // (cb.denominator * den[i]))
+            z = [a + k * b for a, b in zip(z, tab[i])]
+        tab.append(z)
+        den.append(d)
+        store(m, z, d)
 
     if n_art > 0:
-        cost1 = [ZERO] * ncols
-        for j in range(art0, ncols):
-            cost1[j] = -ONE
-        z1 = z_row_for(cost1)
-        st = run(z1, ncols)
+        cost1 = [ZERO] * art0 + [-ONE] * n_art
+        push_objective(cost1)
+        st = run(ncols)
         if st != "optimal":  # phase 1 is bounded above by 0
             raise RuntimeError("phase 1 reported unbounded; solver invariant broken")
+        z1 = tab.pop()
+        den.pop()
         if z1[ncols] != 0:
             return "infeasible", None, None
         # Drive zero-valued artificials out; drop rows that turn out redundant.
@@ -307,24 +330,23 @@ def _simplex_max(
                 if pc is None:
                     drop.append(i)
                 else:
-                    pivot(i, pc, z1)
+                    pivot(i, pc)
         for i in reversed(drop):
             del tab[i]
+            del den[i]
             del basis[i]
         m = len(tab)
 
-    cost2 = [ZERO] * ncols
-    for j in range(nv):
-        cost2[j] = c[j]
-    z2 = z_row_for(cost2)
-    st = run(z2, art0)  # artificial columns can never re-enter
+    push_objective(list(c) + [ZERO] * (ncols - nv))
+    st = run(art0)  # artificial columns can never re-enter
+    z2, zden = tab.pop(), den.pop()
     if st == "unbounded":
         return "unbounded", None, None
     x = [ZERO] * nv
     for i in range(m):
         if basis[i] < nv:
-            x[basis[i]] = tab[i][ncols]
-    duals = [-z2[j] if f else z2[j] for j, f in zip(identity, flipped)]
+            x[basis[i]] = Fraction(tab[i][ncols], den[i])
+    duals = [Fraction(-z2[j] if f else z2[j], zden) for j, f in zip(identity, flipped)]
     return "optimal", x, duals
 
 

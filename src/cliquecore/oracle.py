@@ -60,17 +60,18 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
 
     Ties are broken toward the lexicographically smallest member list, so
     the result is reproducible byte for byte.  The bound is the sum of the
-    remaining candidates' weights (admissible).
+    remaining candidates' weights (admissible).  The search runs on the
+    weights scaled to ints by their common denominator (``to_int_scale``).
     """
     if g.n > MAX_STABLE_SET_N:
         raise GuardError(f"stable-set search capped at n <= {MAX_STABLE_SET_N}")
     if g.n == 0:
         return StableSetResult(members=(), total_cost=ZERO)
     adj = g.adj
-    w = g.weights
+    scale, w = to_int_scale(g.weights)
 
-    def weight_of(mask: int) -> Fraction:
-        total = ZERO
+    def weight_of(mask: int) -> int:
+        total = 0
         v = 0
         while mask:
             if mask & 1:
@@ -80,9 +81,9 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
         return total
 
     # Pass 1: the optimal cost, with aggressive pruning.
-    best = ZERO
+    best = 0
 
-    def search(cur: Fraction, cand: int):
+    def search(cur: int, cand: int):
         nonlocal best
         if cur > best:
             best = cur
@@ -94,11 +95,11 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
         search(cur + w[v], cand & ~adj[v] & ~(1 << v))
         search(cur, cand & ~(1 << v))
 
-    search(ZERO, (1 << g.n) - 1)
+    search(0, (1 << g.n) - 1)
     target = best
 
     # Pass 2: first set of cost `target` in lexicographic member order.
-    def lex(cur_cost: Fraction, members: list[int], cand: int):
+    def lex(cur_cost: int, members: list[int], cand: int):
         if cur_cost == target:
             return tuple(members)
         rest = cand
@@ -116,10 +117,10 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
             members.pop()
         return None
 
-    members = lex(ZERO, [], (1 << g.n) - 1)
+    members = lex(0, [], (1 << g.n) - 1)
     if members is None:  # target was produced by pass 1, so this cannot miss
         raise RuntimeError("stable-set tie-break pass failed to reach the optimum")
-    return StableSetResult(members=members, total_cost=target)
+    return StableSetResult(members=members, total_cost=Fraction(target, scale))
 
 
 def cost(g: WeightedGraph, scenario: Iterable[int]) -> Fraction:

@@ -2,13 +2,17 @@
 
 Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
-cross-check, not circular.  Only usable for small n.
+cross-check, not circular.  Only usable for small n.  ``simplex_max`` is
+the exception: the Fraction simplex that the library's integer simplex
+replaced, kept as its slow reference.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def subsets(n):
@@ -173,3 +177,172 @@ def core_by_definition(g, cliques, imputation) -> tuple[bool, tuple | None]:
         if available < needed:
             return False, tuple(s)
     return True, None
+
+
+# Same signature and same Bland choices as ``cliquecore.lp._simplex_max``,
+# so the two must return identical results.
+def simplex_max(
+    nv: int,
+    rows: Sequence[dict[int, Fraction]],
+    senses: Sequence[str],
+    rhs: Sequence[Fraction],
+    c: list[Fraction],
+) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
+    """Two-phase tableau simplex maximizing c.x, x >= 0.
+
+    Returns the status, the optimal x and the row duals of the final
+    basis.  Row i's dual is the final reduced cost of the column that was
+    its identity column in the starting tableau (its slack, or its
+    artificial, whose phase-2 cost is 0), negated when the row was
+    negated to make its right-hand side nonnegative.
+    """
+    m = len(rows)
+
+    # Normalize to nonnegative right-hand sides.
+    norm_rows: list[dict[int, Fraction]] = []
+    norm_senses: list[str] = []
+    norm_rhs: list[Fraction] = []
+    flipped: list[bool] = []
+    for i in range(m):
+        b = Fraction(rhs[i])
+        row = {j: Fraction(a) for j, a in rows[i].items() if a != 0}
+        sense = senses[i]
+        flipped.append(b < 0)
+        if b < 0:
+            b = -b
+            row = {j: -a for j, a in row.items()}
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        norm_rows.append(row)
+        norm_senses.append(sense)
+        norm_rhs.append(b)
+
+    n_le = sum(1 for s in norm_senses if s == "<=")
+    n_ge = sum(1 for s in norm_senses if s == ">=")
+    n_art = sum(1 for s in norm_senses if s in (">=", "="))
+    slack0 = nv
+    surplus0 = nv + n_le
+    art0 = nv + n_le + n_ge
+    ncols = art0 + n_art
+
+    tab: list[list[Fraction]] = []
+    basis: list[int] = []
+    i_le = i_ge = i_art = 0
+    for i in range(m):
+        dense = [ZERO] * (ncols + 1)
+        for j, a in norm_rows[i].items():
+            dense[j] = a
+        dense[ncols] = norm_rhs[i]
+        s = norm_senses[i]
+        if s == "<=":
+            dense[slack0 + i_le] = ONE
+            basis.append(slack0 + i_le)
+            i_le += 1
+        elif s == ">=":
+            dense[surplus0 + i_ge] = -ONE
+            i_ge += 1
+            dense[art0 + i_art] = ONE
+            basis.append(art0 + i_art)
+            i_art += 1
+        else:
+            dense[art0 + i_art] = ONE
+            basis.append(art0 + i_art)
+            i_art += 1
+        tab.append(dense)
+    identity = list(basis)
+
+    def pivot(pr: int, pc: int, z: list[Fraction]):
+        prow = tab[pr]
+        piv = prow[pc]
+        if piv != 1:
+            inv = ONE / piv
+            tab[pr] = prow = [a * inv for a in prow]
+        for row in tab:
+            if row is prow:
+                continue
+            f = row[pc]
+            if f:
+                for j, a in enumerate(prow):
+                    if a:
+                        row[j] -= f * a
+        f = z[pc]
+        if f:
+            for j, a in enumerate(prow):
+                if a:
+                    z[j] -= f * a
+        basis[pr] = pc
+
+    def run(z: list[Fraction], banned_from: int) -> str:
+        # z[j] = c_B.B^-1.A_j - c_j ; optimal when all z >= 0 (maximization)
+        while True:
+            pc = -1
+            for j in range(banned_from):
+                if z[j] < 0:
+                    pc = j
+                    break
+            if pc < 0:
+                return "optimal"
+            pr = -1
+            best_ratio = None
+            best_var = None
+            for i in range(m):
+                a = tab[i][pc]
+                if a > 0:
+                    ratio = tab[i][ncols] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < best_var)
+                    ):
+                        best_ratio, best_var, pr = ratio, basis[i], i
+            if pr < 0:
+                return "unbounded"
+            pivot(pr, pc, z)
+
+    def z_row_for(cost: list[Fraction]) -> list[Fraction]:
+        z = [-cost[j] for j in range(ncols)] + [ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                row = tab[i]
+                for j in range(ncols + 1):
+                    if row[j]:
+                        z[j] += cb * row[j]
+        return z
+
+    if n_art > 0:
+        cost1 = [ZERO] * ncols
+        for j in range(art0, ncols):
+            cost1[j] = -ONE
+        z1 = z_row_for(cost1)
+        st = run(z1, ncols)
+        if st != "optimal":  # phase 1 is bounded above by 0
+            raise RuntimeError("phase 1 reported unbounded; solver invariant broken")
+        if z1[ncols] != 0:
+            return "infeasible", None, None
+        # Drive zero-valued artificials out; drop rows that turn out redundant.
+        drop: list[int] = []
+        for i in range(m):
+            if basis[i] >= art0:
+                pc = next((j for j in range(art0) if tab[i][j] != 0), None)
+                if pc is None:
+                    drop.append(i)
+                else:
+                    pivot(i, pc, z1)
+        for i in reversed(drop):
+            del tab[i]
+            del basis[i]
+        m = len(tab)
+
+    cost2 = [ZERO] * ncols
+    for j in range(nv):
+        cost2[j] = c[j]
+    z2 = z_row_for(cost2)
+    st = run(z2, art0)  # artificial columns can never re-enter
+    if st == "unbounded":
+        return "unbounded", None, None
+    x = [ZERO] * nv
+    for i in range(m):
+        if basis[i] < nv:
+            x[basis[i]] = tab[i][ncols]
+    duals = [-z2[j] if f else z2[j] for j, f in zip(identity, flipped)]
+    return "optimal", x, duals

@@ -55,3 +55,17 @@ def graphs(draw, max_n: int = 8, max_weight: int = 6):
         )
     )
     return WeightedGraph.from_edges(n, edges, [Fraction(w) for w in weights])
+
+
+@st.composite
+def fractional_graphs(draw, max_n: int = 8):
+    """``graphs`` with weights drawn as fractions of mixed denominators."""
+    g = draw(graphs(max_n=max_n))
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=6, max_denominator=12),
+            min_size=g.n,
+            max_size=g.n,
+        )
+    )
+    return g.with_weights(weights)

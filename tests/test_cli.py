@@ -9,6 +9,7 @@ import pytest
 import cliquecore
 from cliquecore import WeightedGraph, paley3x3, serialize_graph
 from cliquecore.cli import main
+from cliquecore.graph import DEFAULT_MAX_N
 
 
 def run(capsys, *argv):
@@ -177,6 +178,30 @@ class TestGuardBeforeWork:
         )
         assert (code, out) == (2, "")
         assert err == "guard: graph has 3000 vertices, --max-n is 10\n"
+
+    @pytest.mark.parametrize("source", ["file", "spec"])
+    def test_default_ceiling_without_max_n(self, capsys, tmp_path, no_graph_built, source):
+        if source == "file":
+            path = tmp_path / "huge.graph"
+            path.write_text("p 2000000 0\n")
+            assert path.stat().st_size == 12
+            argv = ["solve", "--input", str(path)]
+        else:
+            argv = ["solve", "--generate", "complete:2000000"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "guard: graph has 2000000 vertices, above the default ceiling of "
+            f"{DEFAULT_MAX_N} (raise it with --max-n)\n"
+        )
+
+    def test_max_n_overrides_the_ceiling(self, capsys):
+        n = DEFAULT_MAX_N + 1
+        argv = ("cliques", "--generate", f"path:{n}")
+        assert run(capsys, *argv)[0] == 2
+        code, out, _ = run(capsys, *argv, "--max-n", str(n))
+        assert code == 0
+        assert len(out.splitlines()) == n - 1
 
 
 class TestCliquesAndGenerate:

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecore import (
     LinearProgram,
@@ -23,7 +25,7 @@ from cliquecore.cli import main
 from cliquecore.lp import certify_optimum
 
 import _bruteforce as bf
-from conftest import graphs, random_graph
+from conftest import fractional_graphs, graphs, random_graph
 
 F = Fraction
 
@@ -268,6 +270,103 @@ class TestTableauDual:
         monkeypatch.setattr(lp_module, "_simplex_max", off_by_one)
         with pytest.raises(RuntimeError, match="certificate"):
             solve_dual(paley, maximal_cliques(paley))
+
+
+def assert_same_as_fraction_simplex(problem):
+    """The integer simplex against the Fraction one it replaced, both on
+    the raw solver and through the certified ``solve_general``."""
+    sign = 1 if problem.direction == "max" else -1
+    args = (len(problem.objective), problem.rows, problem.senses, problem.rhs)
+    c = [sign * F(x) for x in problem.objective]
+    fast = lp_module._simplex_max(*args, list(c))
+    assert fast == bf.simplex_max(*args, list(c))
+    _, x, duals = fast
+    assert all(type(v) is F for v in (x or []) + (duals or []))
+    result = solve_general(problem)
+    with mock.patch.object(lp_module, "_simplex_max", bf.simplex_max):
+        assert solve_general(problem) == result
+    return result
+
+
+def assert_both_game_lps_match(g):
+    cs = maximal_cliques(g)
+    stable = assert_same_as_fraction_simplex(build_stable_set_lp(g.weights, cs.cliques))
+    cover = assert_same_as_fraction_simplex(build_clique_cover_lp(g.weights, cs.cliques))
+    assert stable.value == cover.value
+
+
+# Small general LPs: up to four variables and five rows of any sense, with
+# coefficients of mixed sign and denominator, so negative right-hand sides,
+# phase 1, degenerate pivots and infeasible and unbounded LPs all occur.
+small_rationals = st.one_of(
+    st.integers(min_value=-2, max_value=2).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def general_lps(draw):
+    nv = draw(st.integers(min_value=0, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=5))
+    variables = st.integers(min_value=0, max_value=max(nv - 1, 0))
+    rows = [draw(st.dictionaries(variables, small_rationals)) if nv else {} for _ in range(m)]
+    return LinearProgram(
+        direction=draw(st.sampled_from(["max", "min"])),
+        objective=tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv))),
+        rows=tuple(rows),
+        senses=tuple(draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))),
+        rhs=tuple(draw(st.lists(st.just(F(0)) | small_rationals, min_size=m, max_size=m))),
+    )
+
+
+class TestAgainstFractionSimplex:
+    @given(graphs(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_game_lps_small(self, g):
+        assert_both_game_lps_match(g)
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_game_lps_random(self, n):
+        assert_both_game_lps_match(random_graph(n, n, max_weight=100))
+
+    @given(fractional_graphs(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_game_lps_fractional_weights(self, g):
+        assert_both_game_lps_match(g)
+
+    @pytest.mark.parametrize("n", [5, 9, 12])
+    def test_game_lps_mixed_denominators(self, n):
+        g = random_graph(n, 7)
+        mixed = [F(1, 3), F(5, 6), F(7, 4), F(2), F(0), F(11, 12)]
+        assert_both_game_lps_match(g.with_weights(mixed[v % 6] * (v + 1) for v in range(n)))
+
+    @pytest.mark.parametrize(
+        "problem,status",
+        [
+            # negative right-hand sides, an equality row, a >= row
+            (lp("max", [1, 1], [{0: 1, 1: 1}, {0: -1}, {1: 1}, {0: 1}],
+                ["=", "<=", ">=", "<="], [3, -1, 1, 5]), "optimal"),
+            # a redundant equality row, dropped after phase 1
+            (lp("max", [1, 2], [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}],
+                ["=", "=", "<="], [2, 4, 1]), "optimal"),
+            # an artificial left at zero, driven out on a negative entry
+            (lp("max", [1, 1], [{0: F(-3, 2)}, {1: 1}], ["=", "<="], [0, F(5, 2)]), "optimal"),
+            # degenerate pivots through one vertex
+            (lp("max", [1, 1], [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}, {1: 1}],
+                ["<="] * 5, [1, 1, 2, 1, 1]), "optimal"),
+            (lp("min", [F(1, 2), F(1, 3)], [{0: 1, 1: 1}, {0: 1}, {1: -1}],
+                [">=", "<=", "<="], [F(7, 2), 2, -1]), "optimal"),
+            (lp("max", [1], [{0: 1}, {0: 1}], ["<=", ">="], [1, 2]), "infeasible"),
+            (lp("max", [1, -1], [{0: 1, 1: -1}], [">="], [-2]), "unbounded"),
+        ],
+    )
+    def test_general_lps(self, problem, status):
+        assert assert_same_as_fraction_simplex(problem).status == status
+
+    @given(general_lps())
+    @settings(max_examples=200, deadline=None)
+    def test_general_lps_random(self, problem):
+        assert_same_as_fraction_simplex(problem)
 
 
 class TestOneSimplexPerGame:

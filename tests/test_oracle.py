@@ -17,7 +17,7 @@ from cliquecore import (
 from cliquecore.graph import scenario_mask, to_int_scale
 
 import _bruteforce as bf
-from conftest import graphs, random_graph
+from conftest import fractional_graphs, graphs, random_graph
 
 F = Fraction
 
@@ -49,6 +49,14 @@ class TestMaxWeightStableSet:
     def test_lexicographically_smallest_optimum(self, g):
         res = max_weight_stable_set(g)
         assert res.members == min(bf.best_stable_sets(g))
+
+    @given(fractional_graphs(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_fractional_weights(self, g):
+        res = max_weight_stable_set(g)
+        assert res.total_cost == bf.max_stable_value(g)
+        assert res.members == min(bf.best_stable_sets(g))
+        assert sum((g.weights[v] for v in res.members), F(0)) == res.total_cost
 
     def test_zero_weights_give_empty_set(self):
         g = WeightedGraph.from_edges(3, [(0, 1)], [0, 0, 0])
