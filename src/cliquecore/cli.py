@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -29,7 +28,7 @@ from .core import (
     verify_core_certificate,
     verify_core_exhaustive,
 )
-from .errors import DualGapError, GraphParseError, GuardError
+from .errors import DualGapError, GraphParseError, GuardError, clip
 from .generators import from_spec
 from .graph import (
     DEFAULT_MAX_N,
@@ -56,16 +55,6 @@ EXIT_PROPERTY = 3
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for death by SIGPIPE
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    generate_spec: str | None
-    seed: int | None
-    max_n: int | None
-    as_json: bool
-
-
 class _InputError(Exception):
     pass
 
@@ -80,57 +69,44 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_graph(config: RunConfig) -> WeightedGraph:
-    if (config.input_path is None) == (config.generate_spec is None):
+def _load_graph(args) -> WeightedGraph:
+    if (args.input is None) == (args.generate is None):
         raise _InputError("exactly one of --input and --generate is required")
-    if config.input_path is not None:
+    if args.input is not None:
         try:
-            text = Path(config.input_path).read_text(encoding="utf-8")
+            text = Path(args.input).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise _InputError(f"cannot read {config.input_path}: {exc}") from exc
-        return parse_graph(text, max_n=config.max_n)
+            raise _InputError(f"cannot read {args.input}: {exc}") from exc
+        return parse_graph(text, max_n=args.max_n)
     try:
-        return from_spec(config.generate_spec, seed=config.seed, max_n=config.max_n)
+        return from_spec(args.generate, seed=args.seed, max_n=args.max_n)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        generate_spec=getattr(args, "generate", None),
-        seed=getattr(args, "seed", None),
-        max_n=getattr(args, "max_n", None),
-        as_json=getattr(args, "json", False),
-    )
-
-
 def cmd_solve(args) -> int:
-    config = _config(args)
-    g = _load_graph(config)
+    g = _load_graph(args)
     cliques = maximal_cliques(g)
     worth = game_worth(g)
     primal, dual = solve_game(g, cliques)
     if args.dump_lp:
-        fracs = g.weights
         Path(args.dump_lp + ".primal.lp").write_text(
-            lp_format(build_stable_set_lp(fracs, cliques.cliques), "stable-set"),
+            lp_format(build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
             encoding="utf-8",
         )
         Path(args.dump_lp + ".dual.lp").write_text(
-            lp_format(build_clique_cover_lp(fracs, cliques.cliques), "clique-cover"),
+            lp_format(build_clique_cover_lp(g.weights, cliques.cliques), "clique-cover"),
             encoding="utf-8",
         )
     dual_matches = dual.value == worth
-    if config.as_json:
+    if args.json:
         _emit_json(
             {
                 "worth": fraction_str(worth),
                 "primal": {
                     "value": fraction_str(primal.value),
                     "x": [fraction_str(v) for v in primal.x],
-                    "integral": is_integral(primal),
+                    "integral": is_integral(primal.x),
                 },
                 "dual": {
                     "value": fraction_str(dual.value),
@@ -139,7 +115,7 @@ def cmd_solve(args) -> int:
                         for cid, v in enumerate(dual.y)
                         if v != 0
                     },
-                    "integral": is_integral(dual),
+                    "integral": is_integral(dual.y),
                 },
                 "dualEqualsWorth": dual_matches,
             }
@@ -147,9 +123,9 @@ def cmd_solve(args) -> int:
     else:
         print(f"worth: {fraction_str(worth)}")
         print(f"primal optimum: {fraction_str(primal.value)}"
-              f" (integral: {'yes' if is_integral(primal) else 'no'})")
+              f" (integral: {'yes' if is_integral(primal.x) else 'no'})")
         print(f"dual optimum: {fraction_str(dual.value)}"
-              f" (integral: {'yes' if is_integral(dual) else 'no'})")
+              f" (integral: {'yes' if is_integral(dual.y) else 'no'})")
         for cid, v in enumerate(dual.y):
             if v != 0:
                 print(f"  firm {cliques.key(cid)}: {fraction_str(v)}")
@@ -163,8 +139,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
-    g = _load_graph(config)
+    g = _load_graph(args)
     cliques = maximal_cliques(g)
     try:
         raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"))
@@ -177,10 +152,9 @@ def cmd_verify(args) -> int:
     mapping = {}
     for key, value in raw.items():
         try:
-            amount = parse_fraction(value) if isinstance(value, str) else parse_fraction(str(value))
+            mapping[key] = parse_fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
-            raise _InputError(f"bad amount {value!r} for clique {key!r}") from exc
-        mapping[key] = amount
+            raise _InputError(f"bad amount {clip(repr(value))} for clique {clip(repr(key))}") from exc
     try:
         imputation = Imputation.from_mapping(cliques, mapping)
     except KeyError as exc:
@@ -192,7 +166,7 @@ def cmd_verify(args) -> int:
         report = verify_core_exhaustive(g, cliques, imputation)
     else:
         report = verify_core_certificate(g, cliques, imputation)
-    if config.as_json:
+    if args.json:
         _emit_json(report.to_json_dict())
     else:
         print(f"verdict: {report.verdict}")
@@ -209,10 +183,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_perfect(args) -> int:
-    config = _config(args)
-    g = _load_graph(config)
+    g = _load_graph(args)
     verdict = is_perfect(g)
-    if config.as_json:
+    if args.json:
         _emit_json(verdict.to_json_dict())
     else:
         if verdict.is_perfect:
@@ -224,10 +197,9 @@ def cmd_check_perfect(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    config = _config(args)
-    g = _load_graph(config)
+    g = _load_graph(args)
     cliques = maximal_cliques(g)
-    if config.as_json:
+    if args.json:
         _emit_json({"cliques": cliques.to_json_list()})
     else:
         for q in cliques.cliques:
@@ -236,11 +208,10 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config = _config(args)
-    if config.generate_spec is None:
+    if args.generate is None:
         raise _InputError("generate requires --generate SPEC")
-    g = _load_graph(config)
-    if config.as_json:
+    g = _load_graph(args)
+    if args.json:
         _emit_json(graph_to_json_dict(g))
     else:
         sys.stdout.write(serialize_graph(g))
@@ -248,20 +219,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    config = _config(args)
-    if config.seed is None:
+    if args.seed is None:
         raise _InputError("corpus requires --seed")
     instances = corpus_mod.build_corpus(
         count=args.count,
-        seed=config.seed,
+        seed=args.seed,
         n_min=4,
         n_max=max(4, args.n),
         include_imperfect=args.include_imperfect,
     )
-    rng = random.Random(config.seed ^ 0x5EED)
+    rng = random.Random(args.seed ^ 0x5EED)
     reports = [corpus_mod.run_instance_suite(inst, rng) for inst in instances]
     summary = corpus_mod.summarize(reports)
-    if config.as_json:
+    if args.json:
         _emit_json(summary)
     else:
         print(f"instances: {summary['instances']}")

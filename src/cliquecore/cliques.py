@@ -75,15 +75,18 @@ def maximal_cliques(g: WeightedGraph, max_cliques: int = DEFAULT_CLIQUE_CAP) -> 
     """
     adj = g.adj
     found: list[tuple[int, ...]] = []
-
-    def expand(r: list[int], p: int, x: int):
+    # (R, P, X) frames on an explicit stack, so clique size meets no recursion
+    # limit; children are pushed in reverse to run in recursive-call order.
+    stack = [((), (1 << g.n) - 1, 0)] if g.n > 0 else []
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             found.append(tuple(sorted(r)))
             if len(found) > max_cliques:
                 raise GuardError(
                     f"more than {max_cliques} maximal cliques; raise the cap explicitly"
                 )
-            return
+            continue
         # pivot: vertex of P|X whose neighborhood eats most of P
         pivot = -1
         best = -1
@@ -97,18 +100,18 @@ def maximal_cliques(g: WeightedGraph, max_cliques: int = DEFAULT_CLIQUE_CAP) -> 
             px >>= 1
             u += 1
         cand = p & ~adj[pivot]
+        children = []
         v = 0
         while cand:
             if cand & 1:
                 bit = 1 << v
-                expand(r + [v], p & adj[v], x & adj[v])
+                children.append((r + (v,), p & adj[v], x & adj[v]))
                 p &= ~bit
                 x |= bit
             cand >>= 1
             v += 1
+        stack += reversed(children)
 
-    if g.n > 0:
-        expand([], (1 << g.n) - 1, 0)
     found.sort()
     return CliqueSet(n=g.n, cliques=tuple(found))
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from . import oracle
 from .cliques import CliqueSet, clique_key, is_clique, maximal_cliques
-from .errors import DualGapError, GuardError
+from .errors import DualGapError, GuardError, clip
 from .graph import (
     Scenario,
     WeightedGraph,
@@ -35,7 +35,7 @@ from .graph import (
     scenario_mask,
     to_int_scale,
 )
-from .lp import solve_dual
+from .lp import first_uncovered, solve_dual
 
 ZERO = Fraction(0)
 
@@ -53,7 +53,7 @@ class Imputation:
     def __post_init__(self):
         for cid, v in enumerate(self.values):
             if v < 0:
-                raise ValueError(f"negative money {v} on clique {cid}")
+                raise ValueError(f"negative money {clip(str(v))} on clique {cid}")
 
     @property
     def total(self) -> Fraction:
@@ -69,7 +69,7 @@ class Imputation:
         for key, amount in mapping.items():
             cid = cliques.key_to_id.get(key)
             if cid is None:
-                raise KeyError(f"{key!r} is not a maximal clique of this graph")
+                raise KeyError(f"{clip(repr(key))} is not a maximal clique of this graph")
             values[cid] += Fraction(amount)
         return cls(values=tuple(values))
 
@@ -191,20 +191,16 @@ def verify_core_certificate(
             violation=None,
             scenarios_checked=0,
         )
-    for v in range(g.n):
-        coverage = sum(
-            (imputation.values[cid] for cid in cliques.member_index[v]), ZERO
+    short = first_uncovered(cliques.cliques, imputation.values, g.weights)
+    if short is not None:
+        v, coverage = short
+        return CoreReport(
+            verdict=VERDICT_VIOLATED,
+            total_money=total,
+            game_worth=worth,
+            violation=Violation(scenario=(v,), money=coverage, cost=g.weights[v]),
+            scenarios_checked=0,
         )
-        if coverage < g.weights[v]:
-            return CoreReport(
-                verdict=VERDICT_VIOLATED,
-                total_money=total,
-                game_worth=worth,
-                violation=Violation(
-                    scenario=(v,), money=coverage, cost=g.weights[v]
-                ),
-                scenarios_checked=0,
-            )
     return CoreReport(
         verdict=VERDICT_IN_CORE,
         total_money=total,

@@ -25,9 +25,7 @@ from .core import (
 )
 from .generators import cycle, random_bipartite, random_chordal
 from .graph import WeightedGraph
-from .lp import is_integral
-
-ZERO = Fraction(0)
+from .lp import first_uncovered, is_integral
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,8 @@ def infeasible_total_vectors(
         if sum(raw) == 0:
             raw[avoiding[rng.randrange(len(avoiding))]] = 1
         values = scaled_to_total(raw, total)
-        coverage = sum((values[cid] for cid in cliques.member_index[v]), ZERO)
-        if coverage >= g.weights[v]:  # cannot happen; guards the construction
-            continue
+        if first_uncovered(cliques.cliques, values, g.weights) is None:
+            continue  # cannot happen; guards the construction
         out.append(Imputation(values=tuple(values)))
     return out
 

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote the input."""
+
+
+def clip(text: str, limit: int = 40) -> str:
+    """``text`` cut after ``limit`` characters, with its full length noted:
+    how an error message quotes an input token, which can be megabytes."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 class GraphParseError(ValueError):

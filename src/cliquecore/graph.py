@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GraphParseError, GuardError
+from .errors import GraphParseError, GuardError, clip
 
 #: A scenario is a sorted, duplicate-free tuple of vertex ids.
 Scenario = tuple[int, ...]
@@ -54,10 +54,8 @@ def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 #: solve (each exact search has its own guard at n <= 30) and every graph
 #: of the tests, demos and benchmark (at most 25 vertices without
 #: ``--max-n``), it leaves room for ``cliques`` and ``generate`` while
-#: keeping a header or a spec from allocating unbounded work:
-#: ``complete:500`` builds 124,750 edges, and clique enumeration, which
-#: recurses once per clique member, stays well inside Python's default
-#: recursion limit of 1000.
+#: keeping a header or a spec from allocating unbounded work: the edge
+#: list grows with n^2, and ``complete:500`` already builds 124,750 edges.
 DEFAULT_MAX_N = 500
 
 
@@ -67,11 +65,11 @@ def check_vertex_count(n: int, max_n: int | None) -> None:
     if max_n is None:
         if n > DEFAULT_MAX_N:
             raise GuardError(
-                f"graph has {n} vertices, above the default ceiling of {DEFAULT_MAX_N}"
+                f"graph has {clip(str(n))} vertices, above the default ceiling of {DEFAULT_MAX_N}"
                 " (raise it with --max-n)"
             )
     elif n > max_n:
-        raise GuardError(f"graph has {n} vertices, --max-n is {max_n}")
+        raise GuardError(f"graph has {clip(str(n))} vertices, --max-n is {max_n}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,6 @@ class WeightedGraph:
         if u == v:
             return False
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def with_weights(self, weights: Iterable[Fraction | int]) -> "WeightedGraph":
         """Same structure, different cost vector."""
@@ -240,11 +235,11 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
         try:
             v = int(tok)
         except ValueError:
-            fail(f"expected a vertex id, got {tok!r}", lineno)
+            fail(f"expected a vertex id, got {clip(repr(tok))}", lineno)
         if n is None:
             fail("directive before 'p' header", lineno)
         if not (0 <= v < n):
-            fail(f"vertex id {v} outside 0..{n - 1}", lineno)
+            fail(f"vertex id {clip(str(v))} outside 0..{n - 1}", lineno)
         return v
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -287,9 +282,9 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
             try:
                 x = parse_fraction(parts[2])
             except (ValueError, ZeroDivisionError):
-                fail(f"bad rational {parts[2]!r}", lineno)
+                fail(f"bad rational {clip(repr(parts[2]))}", lineno)
             if x < 0:
-                fail(f"negative weight {x} at vertex {v}", lineno)
+                fail(f"negative weight {clip(str(x))} at vertex {v}", lineno)
             weights[v] = x
         elif kind == "l":
             if len(parts) < 3:
@@ -299,7 +294,7 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
                 fail(f"duplicate label for vertex {v}", lineno)
             labels[v] = " ".join(parts[2:])
         else:
-            fail(f"unknown directive {kind!r}", lineno)
+            fail(f"unknown directive {clip(repr(kind))}", lineno)
 
     if n is None:
         raise GraphParseError("missing 'p <n> <m>' header")

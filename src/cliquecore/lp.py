@@ -1,40 +1,30 @@
-"""Exact linear programming over rationals, plus the two game LPs.
+"""Exact linear programming over rationals for the game LP.
 
-The solver is a dense two-phase primal simplex with Bland's smallest-index
-rule for both the entering and the leaving choice.  It pivots on integer
-rows, each over one positive integer denominator of its own, so every
-entry is exact without a ``fractions.Fraction`` per entry; the optimum
-comes back as Fractions.  Bland's rule guarantees termination under
-degeneracy and makes every run reproducible: identical input yields the
-identical basis, hence the identical optimal vertex.  No floating point
-enters anywhere.
-
-The two problem builders are the fractional-stable-set relaxation
+The program solves one LP, the fractional-stable-set relaxation
 
     maximize  sum_v w_v x_v   subject to  x(Q) <= 1  for every maximal
     clique Q,  x >= 0
 
-and its dual, the fractional clique-cover problem
+whose dual is the fractional clique-cover problem
 
     minimize  sum_Q y_Q       subject to  sum_{Q contains v} y_Q >= w_v
     for every vertex v,  y >= 0
 
 with variables ranging over the maximal cliques only (a multiplier on a
 non-maximal clique can always be moved onto a containing maximal clique,
-see :func:`cliquecore.core.lift_dual`).
+see :func:`cliquecore.core.lift_dual`).  On a perfect graph the cover
+optimum is integral (total dual integrality, Chvatal 1975).
 
-One simplex solve yields both optima.  Every optimal solve also returns
-the row duals ``y = c_B B^-1`` of its final basis, read off the reduced
-costs of the columns that formed the starting identity (slacks, or
-artificials), and :func:`certify_optimum` checks primal feasibility, dual
-feasibility and equal objective values in exact arithmetic before the
-result is returned; a failed check raises instead of returning a wrong
-certificate.  The check runs on Fractions, apart from the integer
-tableau, so it also guards the pivoting code.  The game solve therefore
-runs the stable-set LP alone, which starts feasible at its slack basis
-and skips phase 1, and takes the clique cover from its slack columns.
-The cover LP builder stays as an independent reference and for
-``--dump-lp``.
+The solver is a dense primal simplex on 0/1 rows with right-hand side 1,
+which starts feasible at its slack basis, so one phase suffices.  Bland's
+smallest-index rule guarantees termination under degeneracy and makes
+every run reproducible (identical input, identical optimal vertex).  It
+pivots on integer rows, each over one denominator of its own, and returns
+Fractions; no floating point enters anywhere.  The clique cover is the
+row-dual vector of the final basis, read off the slack columns, and
+:func:`certify_optimum` checks both optima exactly, reading only the LP
+rows and not the tableau, before anything is returned.  The cover LP builder stays
+for ``--dump-lp``.
 """
 
 from __future__ import annotations
@@ -56,8 +46,8 @@ class LinearProgram:
     """max or min of ``objective . x`` subject to sparse rows, x >= 0.
 
     ``rows[i]`` maps variable index to coefficient; ``senses[i]`` is one of
-    ``"<="``, ``">="``, ``"="``.  Variables have lower bound 0 and no upper
-    bound.
+    ``"<="``, ``">="``, ``"="``.  :func:`lp_format` writes out any such LP;
+    :func:`solve_general` solves only the stable-set form.
     """
 
     direction: str
@@ -66,27 +56,13 @@ class LinearProgram:
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
 
-    def validate(self):
-        if self.direction not in ("max", "min"):
-            raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
-        if not (len(self.rows) == len(self.senses) == len(self.rhs)):
-            raise ValueError("rows, senses and rhs lengths differ")
-        nv = len(self.objective)
-        for i, row in enumerate(self.rows):
-            for j in row:
-                if not (0 <= j < nv):
-                    raise ValueError(f"row {i} references variable {j} of {nv}")
-            if self.senses[i] not in ("<=", ">=", "="):
-                raise ValueError(f"row {i} has unknown sense {self.senses[i]!r}")
-
 
 @dataclass(frozen=True)
 class LPResult:
-    """``duals[i]`` is the multiplier of row i in the dual of the LP (for
-    a max problem: >= 0 on "<=" rows, <= 0 on ">=" rows, free on "="
-    rows; signs reversed for min), set only when status is "optimal"."""
+    """``duals[i]`` >= 0 is the multiplier of row i in the dual of the LP,
+    set only when status is "optimal"."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: tuple[Fraction, ...] | None
     value: Fraction | None
     duals: tuple[Fraction, ...] | None = None
@@ -109,56 +85,78 @@ class DualSolution:
 
 
 def solve_general(lp: LinearProgram) -> LPResult:
-    """Exact optimum of an arbitrary LP with certified row duals.
+    """Exact optimum of a stable-set LP with certified row duals.
 
-    On success ``x`` is a basic (vertex) solution and ``duals`` the
-    complementary basic dual solution of the same final basis.
+    The LP must have the form :func:`build_stable_set_lp` produces:
+    maximize, every row a 0/1 set of in-range variables read ``<= 1``;
+    any other LP raises ValueError.  The objective may have any sign (a
+    variable in no row with a positive cost makes the LP unbounded).  On
+    success ``x`` is a basic solution and ``duals`` the complementary
+    basic dual solution of the same final basis.
+
+    The name predates the restriction to one form and is kept: every game
+    solve passes through it, and the benchmark's tracer
+    (``perfbench/tracing.py``) wraps and sizes it by this name.
     """
-    lp.validate()
+    if lp.direction != "max":
+        raise ValueError(f"direction must be 'max', got {lp.direction!r}")
+    if not (len(lp.rows) == len(lp.senses) == len(lp.rhs)):
+        raise ValueError("rows, senses and rhs lengths differ")
     nv = len(lp.objective)
-    sign = 1 if lp.direction == "max" else -1
-    c = [sign * Fraction(x) for x in lp.objective]
-    status, x, duals = _simplex_max(nv, lp.rows, lp.senses, lp.rhs, c)
+    for i, (row, sense, b) in enumerate(zip(lp.rows, lp.senses, lp.rhs)):
+        if sense != "<=" or b != 1:
+            raise ValueError(f"row {i} must read '<= 1', got {sense!r} {b}")
+        for j, a in row.items():
+            if not (0 <= j < nv):
+                raise ValueError(f"row {i} references variable {j} of {nv}")
+            if a != 1:
+                raise ValueError(f"row {i} has coefficient {a} on variable {j}, not 1")
+    status, x, duals = _simplex_max(nv, lp.rows, lp.objective)
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
-    duals = [sign * y for y in duals]
     value = certify_optimum(lp, x, duals)
     return LPResult(status="optimal", x=tuple(x), value=value, duals=tuple(duals))
+
+
+def first_uncovered(
+    rows: Sequence[Iterable[int]], y: Sequence[Fraction], demand: Sequence[Fraction]
+) -> tuple[int, Fraction] | None:
+    """The smallest j whose coverage, the sum of ``y[i]`` over the rows
+    that contain j, falls short of ``demand[j]``, with that coverage; None
+    when ``y`` covers every demand.  Sums in ints over the common
+    denominator of ``y``, skipping rows whose ``y`` is 0."""
+    scale, ys = to_int_scale(y)
+    need_scale, needs = to_int_scale(demand)
+    coverage = [0] * len(demand)
+    for row, yi in zip(rows, ys):
+        if yi:
+            for j in row:
+                coverage[j] += yi
+    for j, (have, need) in enumerate(zip(coverage, needs)):
+        if have * need_scale < need * scale:
+            return j, Fraction(have, scale)
+    return None
 
 
 def certify_optimum(
     lp: LinearProgram, x: Sequence[Fraction], duals: Sequence[Fraction]
 ) -> Fraction:
-    """Exact proof that ``x`` is optimal, with ``duals`` as the witness.
-
-    Checks that x is feasible, that the duals have the right sign for each
-    row sense and satisfy every dual column constraint, and that the two
-    objective values are equal.  Returns that value; raises RuntimeError
-    naming the first failed condition.
-    """
-    sign = 1 if lp.direction == "max" else -1
+    """Exact proof that ``x`` is optimal for a stable-set LP, with ``duals``
+    as the witness: x feasible, the duals nonnegative and covering every
+    objective coefficient, and equal objective values.  Returns that
+    value; raises RuntimeError naming the first failed condition."""
     if any(v < 0 for v in x):
         raise RuntimeError("certificate: x has a negative coordinate")
-    # price[j] = sum_i duals[i] * A[i][j]; dual feasibility is
-    # sign * (price[j] - c[j]) >= 0 for every variable j.
-    price = [ZERO] * len(lp.objective)
     for i, row in enumerate(lp.rows):
-        lhs = sum((a * x[j] for j, a in row.items() if x[j]), ZERO)
-        sense, b, y = lp.senses[i], lp.rhs[i], duals[i]
-        if (sense == "<=" and lhs > b) or (sense == ">=" and lhs < b) or (
-            sense == "=" and lhs != b
-        ):
+        if sum((x[j] for j in row if x[j]), ZERO) > ONE:
             raise RuntimeError(f"certificate: x violates row {i}")
-        if (sense == "<=" and sign * y < 0) or (sense == ">=" and sign * y > 0):
+        if duals[i] < 0:
             raise RuntimeError(f"certificate: dual {i} has the wrong sign")
-        if y:
-            for j, a in row.items():
-                price[j] += a * y
-    for j, cj in enumerate(lp.objective):
-        if sign * (price[j] - cj) < 0:
-            raise RuntimeError(f"certificate: dual constraint of variable {j} violated")
+    short = first_uncovered(lp.rows, duals, lp.objective)
+    if short is not None:
+        raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
     value = sum((cj * v for cj, v in zip(lp.objective, x)), ZERO)
-    dual_value = sum((b * y for b, y in zip(lp.rhs, duals)), ZERO)
+    dual_value = sum(duals, ZERO)
     if value != dual_value:
         raise RuntimeError(
             f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"
@@ -167,77 +165,43 @@ def certify_optimum(
 
 
 def _simplex_max(
-    nv: int,
-    rows: Sequence[dict[int, Fraction]],
-    senses: Sequence[str],
-    rhs: Sequence[Fraction],
-    c: list[Fraction],
+    nv: int, rows: Sequence[Iterable[int]], c: Sequence[Fraction]
 ) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
-    """Two-phase tableau simplex maximizing c.x, x >= 0, pivoting on ints.
+    """Single-phase tableau simplex maximizing c.x subject to x(row) <= 1
+    for every row (a set of variable indices) and x >= 0, pivoting on ints
+    from the feasible slack basis x = 0.
 
     Every tableau row, the objective row included, is a list of Python
     ints over one positive int denominator of its own (row i stands for
-    ``tab[i] / den[i]``), kept in lowest terms by a gcd after each
-    update, so the arithmetic is exact without a Fraction per entry
-    (fraction-free pivoting: Edmonds 1967; Bareiss 1968).  Every sign
-    test is a test on an int, and the ratio test cross-multiplies, so
-    the Bland choices, the pivot sequence and the final basis are those
-    of the same simplex on Fractions.
+    ``tab[i] / den[i]``), kept in lowest terms by a gcd after each update
+    (fraction-free pivoting: Edmonds 1967; Bareiss 1968).  Sign tests are
+    on ints and the ratio test cross-multiplies, so the Bland choices and
+    the final basis are those of the same simplex on Fractions.
 
-    Returns the status, the optimal x and the row duals of the final
-    basis, as Fractions.  Row i's dual is the final reduced cost of the
-    column that was its identity column in the starting tableau (its
-    slack, or its artificial, whose phase-2 cost is 0), negated when the
-    row was negated to make its right-hand side nonnegative.
+    Returns the status ("optimal" or "unbounded"), the optimal x and the
+    row duals of the final basis, as Fractions.  Row i's dual is the final
+    reduced cost of its slack column ``nv + i``.
     """
     m = len(rows)
+    ncols = nv + m
 
-    # Negate each row with a negative right-hand side, flipping its sense.
-    flipped = [b < 0 for b in rhs]
-    norm_senses = [
-        {"<=": ">=", ">=": "<=", "=": "="}[s] if f else s for s, f in zip(senses, flipped)
-    ]
-
-    n_le = sum(1 for s in norm_senses if s == "<=")
-    n_ge = sum(1 for s in norm_senses if s == ">=")
-    n_art = sum(1 for s in norm_senses if s in (">=", "="))
-    slack0 = nv
-    surplus0 = nv + n_le
-    art0 = nv + n_le + n_ge
-    ncols = art0 + n_art
-
-    # Row i scaled by the LCM of its own denominators: its slack or
-    # artificial entry is den[i], not 1.
+    # Constraint rows start over denominator 1: row i is its 0/1 members,
+    # its slack and the right-hand side 1.
     tab: list[list[int]] = []
-    den: list[int] = []
-    basis: list[int] = []
-    i_le = i_ge = i_art = 0
-    for i in range(m):
-        row, b = rows[i], rhs[i]
-        sign = -1 if flipped[i] else 1
-        d, ints = to_int_scale([*row.values(), b])
+    for i, row in enumerate(rows):
         dense = [0] * (ncols + 1)
-        for j, a in zip(row, ints):
-            dense[j] = sign * a
-        dense[ncols] = sign * ints[-1]
-        s = norm_senses[i]
-        if s == "<=":
-            dense[slack0 + i_le] = d
-            basis.append(slack0 + i_le)
-            i_le += 1
-        elif s == ">=":
-            dense[surplus0 + i_ge] = -d
-            i_ge += 1
-            dense[art0 + i_art] = d
-            basis.append(art0 + i_art)
-            i_art += 1
-        else:
-            dense[art0 + i_art] = d
-            basis.append(art0 + i_art)
-            i_art += 1
+        for j in row:
+            dense[j] = 1
+        dense[nv + i] = 1
+        dense[ncols] = 1
         tab.append(dense)
-        den.append(d)
-    identity = list(basis)
+    den = [1] * m
+    basis = list(range(nv, ncols))
+    # The objective row z = c_B.B^-1.A - c is -c at the slack basis, kept
+    # at tab[m] over the common denominator of c.
+    d, ints = to_int_scale(c)
+    tab.append([-a for a in ints] + [0] * (m + 1))
+    den.append(d)
 
     def store(i: int, row: list[int], d: int):
         # Lowest terms: divide the row and its denominator by their gcd.
@@ -248,9 +212,9 @@ def _simplex_max(
         den[i] = d
 
     def pivot(pr: int, pc: int):
-        # Also updates the objective row, which sits at tab[m] while a
-        # phase runs.  Dividing row pr by its pivot entry leaves the same
-        # ints over the pivot entry (sign moved into the row).
+        # Also updates the objective row at tab[m].  Dividing row pr by
+        # its pivot entry leaves the same ints over the pivot entry (sign
+        # moved into the row).
         prow = tab[pr]
         p = prow[pc]
         if p < 0:
@@ -272,82 +236,34 @@ def _simplex_max(
                 store(i, row, den[i] * p)
         basis[pr] = pc
 
-    def run(banned_from: int) -> str:
-        # z = tab[m]: z[j] = c_B.B^-1.A_j - c_j ; optimal when all z >= 0
+    # Optimal once every reduced cost z[j] is >= 0.
+    while True:
         z = tab[m]
-        while True:
-            pc = next((j for j in range(banned_from) if z[j] < 0), -1)
-            if pc < 0:
-                return "optimal"
-            # Bland's ratio test on b_i / a_i, cross-multiplied (a > 0).
-            pr = -1
-            for i in range(m):
-                row = tab[i]
-                a = row[pc]
-                if a > 0:
-                    b = row[ncols]
-                    if pr < 0:
-                        pr, best_a, best_b = i, a, b
-                        continue
-                    left, right = b * best_a, best_b * a
-                    if left < right or (left == right and basis[i] < basis[pr]):
-                        pr, best_a, best_b = i, a, b
-            if pr < 0:
-                return "unbounded"
-            pivot(pr, pc)
-            z = tab[m]
-
-    def push_objective(cost: list[Fraction]):
-        # Appends z = c_B.B^-1.A - c over one common denominator as tab[m].
-        terms = [(cost[basis[i]], i) for i in range(m) if cost[basis[i]]]
-        d = math.lcm(
-            *(cj.denominator for cj in cost),
-            *(cb.denominator * den[i] for cb, i in terms),
-        )
-        z = [-cj.numerator * (d // cj.denominator) for cj in cost] + [0]
-        for cb, i in terms:
-            k = cb.numerator * (d // (cb.denominator * den[i]))
-            z = [a + k * b for a, b in zip(z, tab[i])]
-        tab.append(z)
-        den.append(d)
-        store(m, z, d)
-
-    if n_art > 0:
-        cost1 = [ZERO] * art0 + [-ONE] * n_art
-        push_objective(cost1)
-        st = run(ncols)
-        if st != "optimal":  # phase 1 is bounded above by 0
-            raise RuntimeError("phase 1 reported unbounded; solver invariant broken")
-        z1 = tab.pop()
-        den.pop()
-        if z1[ncols] != 0:
-            return "infeasible", None, None
-        # Drive zero-valued artificials out; drop rows that turn out redundant.
-        drop: list[int] = []
+        pc = next((j for j in range(ncols) if z[j] < 0), -1)
+        if pc < 0:
+            break
+        # Bland's ratio test on b_i / a_i, cross-multiplied (a > 0).
+        pr = -1
         for i in range(m):
-            if basis[i] >= art0:
-                pc = next((j for j in range(art0) if tab[i][j] != 0), None)
-                if pc is None:
-                    drop.append(i)
-                else:
-                    pivot(i, pc)
-        for i in reversed(drop):
-            del tab[i]
-            del den[i]
-            del basis[i]
-        m = len(tab)
+            row = tab[i]
+            a = row[pc]
+            if a > 0:
+                b = row[ncols]
+                if pr < 0:
+                    pr, best_a, best_b = i, a, b
+                    continue
+                left, right = b * best_a, best_b * a
+                if left < right or (left == right and basis[i] < basis[pr]):
+                    pr, best_a, best_b = i, a, b
+        if pr < 0:
+            return "unbounded", None, None
+        pivot(pr, pc)
 
-    push_objective(list(c) + [ZERO] * (ncols - nv))
-    st = run(art0)  # artificial columns can never re-enter
-    z2, zden = tab.pop(), den.pop()
-    if st == "unbounded":
-        return "unbounded", None, None
     x = [ZERO] * nv
     for i in range(m):
         if basis[i] < nv:
             x[basis[i]] = Fraction(tab[i][ncols], den[i])
-    duals = [Fraction(-z2[j] if f else z2[j], zden) for j, f in zip(identity, flipped)]
-    return "optimal", x, duals
+    return "optimal", x, [Fraction(a, den[m]) for a in z[nv:ncols]]
 
 
 def build_stable_set_lp(
@@ -405,31 +321,15 @@ def solve_primal(g: WeightedGraph, cliques: CliqueSet) -> PrimalSolution:
 
 
 def solve_dual(g: WeightedGraph, cliques: CliqueSet) -> DualSolution:
-    """Exact optimal vertex of the fractional clique-cover problem.
-
-    Read off the final tableau of the stable-set LP (see
-    :func:`solve_game`) rather than solved as its own LP: the reduced
-    costs of the slack columns are ``y = c_B B^-1``, the dual basic
-    solution complementary to the optimal primal basis.  It is checked
-    exactly for feasibility and for strong duality before returning.
-    """
+    """Exact optimal vertex of the fractional clique-cover problem, read
+    off the final tableau of the stable-set LP and certified with it (see
+    :func:`solve_game`)."""
     return solve_game(g, cliques)[1]
 
 
-def is_integral(solution) -> bool:
-    """Exact integrality test: every coordinate has denominator 1.
-
-    Accepts a PrimalSolution, a DualSolution, anything with ``.x`` or
-    ``.y``/``.values`` coordinates, or a plain iterable of Fractions.
-    """
-    coords = getattr(solution, "x", None)
-    if coords is None:
-        coords = getattr(solution, "y", None)
-    if coords is None:
-        coords = getattr(solution, "values", None)
-    if coords is None:
-        coords = solution
-    return all(Fraction(v).denominator == 1 for v in coords)
+def is_integral(values: Iterable[Fraction]) -> bool:
+    """Exact integrality test: every coordinate has denominator 1."""
+    return all(v.denominator == 1 for v in values)
 
 
 def lp_format(lp: LinearProgram, name: str = "problem") -> str:
@@ -441,11 +341,8 @@ def lp_format(lp: LinearProgram, name: str = "problem") -> str:
     rows never moves the feasible region and scaling the objective never
     moves the argmax.
     """
-    lp.validate()
     lines = [f"\\ {name}"]
-    obj_den = 1
-    for w in lp.objective:
-        obj_den = math.lcm(obj_den, w.denominator)
+    obj_den = to_int_scale(lp.objective)[0]
     if obj_den != 1:
         lines.append(f"\\ objective scaled by {obj_den}")
     lines.append("Maximize" if lp.direction == "max" else "Minimize")
@@ -455,9 +352,7 @@ def lp_format(lp: LinearProgram, name: str = "problem") -> str:
     lines.append(f" obj: {terms if terms else '0 x0'}")
     lines.append("Subject To")
     for i, row in enumerate(lp.rows):
-        den = lp.rhs[i].denominator
-        for a in row.values():
-            den = math.lcm(den, a.denominator)
+        den = to_int_scale([lp.rhs[i], *row.values()])[0]
         scaled = {j: a * den for j, a in row.items() if a != 0}
         body = _terms(scaled) if scaled else "0 x0"
         lines.append(f" c{i}: {body} {lp.senses[i]} {lp.rhs[i] * den}")

@@ -228,6 +228,12 @@ class TestCliquesAndGenerate:
 
         assert parse_graph(out) == random_bipartite(6, 0.5, seed=4)
 
+    def test_clique_of_a_thousand_vertices(self, capsys):
+        # enumeration keeps its own stack, so clique size meets no recursion limit
+        code, out, err = run(capsys, "cliques", "--generate", "complete:1000", "--max-n", "1000")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [" ".join(map(str, range(1000)))]
+
 
 class TestCorpus:
     def test_small_corpus_passes(self, capsys):
@@ -261,6 +267,46 @@ class TestCorpus:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert json.loads(out1)["allOk"] is True
+
+
+LONG = 5000
+
+
+class TestLongTokensClipped:
+    """A megabyte-long token is quoted by its first characters and its
+    length, so each error stays one short line."""
+
+    @pytest.mark.parametrize(
+        "text,exit_code",
+        [
+            (f"p 2 0\nw 0 {'1' * LONG}\n", 1),  # over Python's int digit limit
+            (f"p 2 0\nw 0 -{'1' * 4000}\n", 1),
+            (f"p 2 1\ne {'x' * LONG} 1\n", 1),
+            (f"p 2 1\ne {'9' * 4000} 1\n", 1),
+            (f"p 2 0\n{'q' * LONG} 1\n", 1),
+            (f"p {'9' * 4000} 0\n", 2),
+        ],
+        ids=["bad-rational", "negative-weight", "not-a-vertex-id", "vertex-id-out-of-range",
+             "unknown-directive", "vertex-count-over-ceiling"],
+    )
+    def test_graph_file(self, capsys, tmp_path, text, exit_code):
+        path = tmp_path / "long.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert (code, out) == (exit_code, "")
+        assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "imputation",
+        [{"k" * 3000: "1"}, {"0-1-2": "x" * LONG}, {"k" * LONG: "x" * LONG}, {"0-1-2": "-" + "1" * 4000}],
+        ids=["unknown-key", "bad-amount", "bad-amount-and-key", "negative-money"],
+    )
+    def test_imputation_file(self, capsys, tmp_path, imputation):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(imputation))
+        code, out, err = run(capsys, "verify", "--generate", "paley3x3", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err) < 200
 
 
 class TestErrors:

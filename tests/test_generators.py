@@ -19,7 +19,7 @@ class TestPaley:
         g = paley3x3()
         assert g.n == 9
         assert len(g.edges) == 18
-        assert all(g.degree(v) == 4 for v in range(9))
+        assert all(g.adj[v].bit_count() == 4 for v in range(9))
         assert all(w == 1 for w in g.weights)
 
     def test_six_maximal_cliques_match_brute_force(self):
@@ -46,7 +46,7 @@ class TestFixedFamilies:
         g = cycle(5)
         assert g.n == 5
         assert len(g.edges) == 5
-        assert all(g.degree(v) == 2 for v in range(5))
+        assert all(g.adj[v].bit_count() == 2 for v in range(5))
 
     def test_complete3(self):
         g = complete(3)

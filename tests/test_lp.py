@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquecore import (
@@ -22,7 +22,7 @@ from cliquecore import (
 )
 from cliquecore import lp as lp_module
 from cliquecore.cli import main
-from cliquecore.lp import certify_optimum
+from cliquecore.lp import certify_optimum, first_uncovered
 
 import _bruteforce as bf
 from conftest import fractional_graphs, graphs, random_graph
@@ -47,30 +47,48 @@ class TestSolveGeneral:
         assert res.value == 1
         assert res.x == (F(1),)
 
+    # Only the stable-set form is solved; any other LP is refused before
+    # any pivot.
     def test_single_lower_bound_min(self):
-        res = solve_general(lp("min", [1], [{0: 1}], [">="], [3]))
-        assert res.status == "optimal"
-        assert res.value == 3
+        with pytest.raises(ValueError, match="direction must be 'max', got 'min'"):
+            solve_general(lp("min", [1], [{0: 1}], [">="], [3]))
 
     def test_equality_row(self):
-        res = solve_general(lp("max", [2, 1], [{0: 1, 1: 1}], ["="], [4]))
-        assert res.value == 8
-        assert res.x == (F(4), F(0))
+        with pytest.raises(ValueError, match="row 0 must read '<= 1', got '=' 4"):
+            solve_general(lp("max", [2, 1], [{0: 1, 1: 1}], ["="], [4]))
 
     def test_infeasible(self):
-        res = solve_general(
-            lp("max", [1], [{0: 1}, {0: 1}], ["<=", ">="], [1, 2])
-        )
-        assert res.status == "infeasible"
+        with pytest.raises(ValueError, match="row 1 must read '<= 1', got '>=' 2"):
+            solve_general(lp("max", [1], [{0: 1}, {0: 1}], ["<=", ">="], [1, 2]))
 
     def test_unbounded(self):
         res = solve_general(lp("max", [1], [], [], []))
         assert res.status == "unbounded"
 
     def test_negative_rhs_normalization(self):
-        # x >= -1 is vacuous for x >= 0
-        res = solve_general(lp("max", [1], [{0: -1}, {0: 1}], ["<=", "<="], [1, 5]))
-        assert res.value == 5
+        with pytest.raises(ValueError, match="row 0 has coefficient -1 on variable 0"):
+            solve_general(lp("max", [1], [{0: -1}, {0: 1}], ["<=", "<="], [1, 5]))
+
+    @pytest.mark.parametrize(
+        "problem,message",
+        [
+            (lp("max", [1], [{0: 1}], ["<="], [2]), "row 0 must read '<= 1', got '<=' 2"),
+            (lp("max", [1], [{0: 1}], ["<="], [F(1, 2)]), "got '<=' 1/2"),
+            (lp("max", [1], [{0: 1}], ["<="], [0]), "got '<=' 0"),
+            (lp("max", [1], [{0: 2}], ["<="], [1]), "coefficient 2 on variable 0"),
+            (lp("max", [1], [{0: 0}], ["<="], [1]), "coefficient 0 on variable 0"),
+            (lp("max", [1, 1], [{0: 1, 1: F(1, 2)}], ["<="], [1]), "coefficient 1/2 on variable 1"),
+            (lp("max", [1], [{-1: 1}], ["<="], [1]), "references variable -1 of 1"),
+            (lp("max", [1], [{0: 1}], ["<=", "<="], [1]), "lengths differ"),
+        ],
+        ids=["rhs-2", "rhs-half", "rhs-0", "coefficient-2", "coefficient-0", "coefficient-half",
+             "negative-index", "lengths-differ"],
+    )
+    def test_rejects_other_forms(self, problem, message):
+        # With the four cases above and test_dimension_mismatch, one LP per
+        # way of leaving the stable-set form.
+        with pytest.raises(ValueError, match=message):
+            solve_general(problem)
 
     def test_zero_variables(self):
         res = solve_general(lp("max", [], [], [], []))
@@ -82,18 +100,17 @@ class TestSolveGeneral:
             solve_general(lp("max", [1], [{1: 1}], ["<="], [1]))
 
     def test_exact_fractions_no_float(self):
+        # the edges of a triangle: the optimum is a half on every vertex
         res = solve_general(
-            lp("max", [1, 1], [{0: 3, 1: 1}, {0: 1, 1: 3}], ["<=", "<="], [1, 1])
+            lp("max", [1, 1, 1], [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], ["<="] * 3, [1] * 3)
         )
-        assert res.value == F(1, 2)
-        assert res.x == (F(1, 4), F(1, 4))
+        assert res.value == F(3, 2)
+        assert res.x == (F(1, 2),) * 3
 
     def test_degenerate_lp_terminates(self):
         # many redundant rows through the same vertex; Bland must not cycle
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}, {1: 1}]
-        res = solve_general(
-            lp("max", [1, 1], rows, ["<="] * 5, [1, 1, 2, 1, 1])
-        )
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {1: 1}]
+        res = solve_general(lp("max", [1, 1], rows, ["<="] * 5, [1] * 5))
         assert res.value == 1
 
     def test_stable_set_lp_on_c5_edge_cliques(self, c5):
@@ -190,6 +207,15 @@ class TestGameLPs:
         assert solve_primal(g, cs).value >= bf.max_stable_value(g)
 
 
+def reference_value(problem):
+    """Optimal value of any LP by the two-phase Fraction simplex."""
+    sign = 1 if problem.direction == "max" else -1
+    c = [sign * a for a in problem.objective]
+    status, x, _ = bf.simplex_max(len(c), problem.rows, problem.senses, problem.rhs, c)
+    assert status == "optimal"
+    return sum((a * v for a, v in zip(problem.objective, x)), F(0))
+
+
 def assert_matches_cover_lp(g):
     """The tableau dual against the cover LP solved on its own."""
     cs = maximal_cliques(g)
@@ -198,8 +224,8 @@ def assert_matches_cover_lp(g):
     assert all(v >= 0 for v in y)
     for v in range(g.n):
         assert sum((y[c] for c in cs.member_index[v]), F(0)) >= g.weights[v]
-    reference = solve_general(build_clique_cover_lp(g.weights, cs.cliques))
-    assert sum(y, F(0)) == dual.value == reference.value == primal.value
+    reference = reference_value(build_clique_cover_lp(g.weights, cs.cliques))
+    assert sum(y, F(0)) == dual.value == reference == primal.value
     for cid, q in enumerate(cs.cliques):
         if y[cid] > 0:
             assert sum((primal.x[v] for v in q), F(0)) == 1
@@ -217,25 +243,6 @@ class TestTableauDual:
     @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(12, 19) for seed in (1, 2)])
     def test_matches_cover_lp_random(self, n, seed):
         assert_matches_cover_lp(random_graph(n, seed, max_weight=100))
-
-    @pytest.mark.parametrize(
-        "problem,value",
-        [
-            # x0 + x1 = 3, x0 >= 1 written as -x0 <= -1, x1 >= 1, x0 <= 5
-            (lp("max", [1, 1], [{0: 1, 1: 1}, {0: -1}, {1: 1}, {0: 1}],
-                ["=", "<=", ">=", "<="], [3, -1, 1, 5]), 3),
-            # a redundant equality row, dropped after phase 1
-            (lp("max", [1, 2], [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}],
-                ["=", "=", "<="], [2, 4, 1]), 3),
-            (lp("min", [1, 1], [{0: 1, 1: 1}, {0: 1}, {1: -1}],
-                [">=", "<=", "<="], [3, 2, -1]), 3),
-        ],
-    )
-    def test_duals_of_general_lps(self, problem, value):
-        # solve_general certifies the duals; check the dual value once more
-        res = solve_general(problem)
-        assert res.value == value
-        assert sum((b * y for b, y in zip(problem.rhs, res.duals)), F(0)) == value
 
     @pytest.mark.parametrize(
         "change,failure",
@@ -272,18 +279,23 @@ class TestTableauDual:
             solve_dual(paley, maximal_cliques(paley))
 
 
+def reference_simplex(nv, rows, c):
+    """The two-phase Fraction simplex on the stable-set form, called like
+    ``lp._simplex_max``."""
+    return bf.simplex_max(nv, rows, ["<="] * len(rows), [1] * len(rows), c)
+
+
 def assert_same_as_fraction_simplex(problem):
-    """The integer simplex against the Fraction one it replaced, both on
-    the raw solver and through the certified ``solve_general``."""
-    sign = 1 if problem.direction == "max" else -1
-    args = (len(problem.objective), problem.rows, problem.senses, problem.rhs)
-    c = [sign * F(x) for x in problem.objective]
-    fast = lp_module._simplex_max(*args, list(c))
-    assert fast == bf.simplex_max(*args, list(c))
+    """The single-phase integer simplex against the two-phase Fraction
+    one, both on the raw solver and through the certified
+    ``solve_general``."""
+    nv, c = len(problem.objective), list(problem.objective)
+    fast = lp_module._simplex_max(nv, problem.rows, c)
+    assert fast == reference_simplex(nv, problem.rows, c)
     _, x, duals = fast
     assert all(type(v) is F for v in (x or []) + (duals or []))
     result = solve_general(problem)
-    with mock.patch.object(lp_module, "_simplex_max", bf.simplex_max):
+    with mock.patch.object(lp_module, "_simplex_max", reference_simplex):
         assert solve_general(problem) == result
     return result
 
@@ -291,8 +303,16 @@ def assert_same_as_fraction_simplex(problem):
 def assert_both_game_lps_match(g):
     cs = maximal_cliques(g)
     stable = assert_same_as_fraction_simplex(build_stable_set_lp(g.weights, cs.cliques))
-    cover = assert_same_as_fraction_simplex(build_clique_cover_lp(g.weights, cs.cliques))
-    assert stable.value == cover.value
+    assert stable.value == reference_value(build_clique_cover_lp(g.weights, cs.cliques))
+
+
+def is_stable_set_form(problem):
+    return (
+        problem.direction == "max"
+        and all(s == "<=" for s in problem.senses)
+        and all(b == 1 for b in problem.rhs)
+        and all(a == 1 for row in problem.rows for a in row.values())
+    )
 
 
 # Small general LPs: up to four variables and five rows of any sense, with
@@ -316,6 +336,23 @@ def general_lps(draw):
         rows=tuple(rows),
         senses=tuple(draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m))),
         rhs=tuple(draw(st.lists(st.just(F(0)) | small_rationals, min_size=m, max_size=m))),
+    )
+
+
+# 0/1 packing LPs that are not stable-set LPs of any graph: arbitrary
+# rows, objective coefficients of either sign, and variables in no row,
+# which make the LP unbounded when their cost is positive.
+@st.composite
+def packing_lps(draw):
+    nv = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=6))
+    rows = [draw(st.sets(st.integers(min_value=0, max_value=nv - 1))) if nv else set() for _ in range(m)]
+    return LinearProgram(
+        direction="max",
+        objective=tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv))),
+        rows=tuple({j: F(1) for j in sorted(row)} for row in rows),
+        senses=("<=",) * m,
+        rhs=(F(1),) * m,
     )
 
 
@@ -361,11 +398,30 @@ class TestAgainstFractionSimplex:
         ],
     )
     def test_general_lps(self, problem, status):
-        assert assert_same_as_fraction_simplex(problem).status == status
+        # solve_general refuses them; the two-phase reference, which the
+        # cover-LP tests above rely on, still solves each.
+        with pytest.raises(ValueError):
+            solve_general(problem)
+        sign = 1 if problem.direction == "max" else -1
+        c = [sign * a for a in problem.objective]
+        args = (len(c), problem.rows, problem.senses, problem.rhs, c)
+        assert bf.simplex_max(*args)[0] == status
 
     @given(general_lps())
     @settings(max_examples=200, deadline=None)
     def test_general_lps_random(self, problem):
+        # solve_general agrees with the reference or refuses the LP
+        if is_stable_set_form(problem):
+            assert_same_as_fraction_simplex(problem)
+        else:
+            with pytest.raises(ValueError):
+                solve_general(problem)
+
+    @given(packing_lps())
+    @example(lp("max", [1, 2, F(-1, 2)], [{0: 1, 2: 1}], ["<="], [1]))  # x1 unbounded
+    @example(lp("max", [F(-1, 3), 0], [{0: 1}, {0: 1, 1: 1}, {}], ["<="] * 3, [1] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_packing_lps(self, problem):
         assert_same_as_fraction_simplex(problem)
 
 
@@ -395,6 +451,21 @@ class TestOneSimplexPerGame:
         assert len(simplex_calls) == 1
 
 
+class TestFirstUncovered:
+    rows = [(0, 1), (1, 2), (2, 3)]
+
+    def test_all_covered(self):
+        assert first_uncovered(self.rows, [F(1), F(0), F(2)], [1, 1, 2, 2]) is None
+
+    def test_smallest_short_index_and_its_coverage(self):
+        y = [F(1, 2), F(1, 3), F(0)]
+        assert first_uncovered(self.rows, y, [0, 1, 1, 0]) == (1, F(5, 6))
+
+    def test_index_in_no_paid_row(self):
+        assert first_uncovered(self.rows, [F(0), F(0), F(3)], [0, 0, 0, 1]) is None
+        assert first_uncovered(self.rows, [F(0), F(0), F(3)], [1, 0, 0, 0]) == (0, F(0))
+
+
 class TestIsIntegral:
     def test_integral_vector(self):
         assert is_integral([F(1), F(1), F(1), F(0), F(0), F(0)])
@@ -405,10 +476,10 @@ class TestIsIntegral:
     def test_paley_dual_vertex_is_integral(self):
         g = paley3x3()
         sol = solve_dual(g, maximal_cliques(g))
-        assert is_integral(sol)
+        assert is_integral(sol.y)
 
     def test_works_on_solutions(self, c5):
-        assert not is_integral(solve_primal(c5, maximal_cliques(c5)))
+        assert not is_integral(solve_primal(c5, maximal_cliques(c5)).x)
 
 
 class TestLpFormat:
