@@ -138,11 +138,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _json_int(text: str) -> int:
+    """Parse a JSON integer.  One over Python's digit limit is refused in
+    words a command-line user can act on; ``int``'s own message names
+    ``sys.set_int_max_str_digits()``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text.lstrip("-")) > limit:
+        raise ValueError(f"a number has more than {limit} digits")
+    return int(text)
+
+
 def cmd_verify(args) -> int:
     g = _load_graph(args)
     cliques = maximal_cliques(g)
     try:
-        raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"), parse_int=_json_int)
     except (OSError, RecursionError, ValueError) as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers too long to
         # convert; RecursionError, arrays or objects nested too deeply.

@@ -2,9 +2,10 @@
 
 Two independent routes:
 
-* the structural route searches exhaustively for an induced odd chordless
-  cycle of length >= 5 in the graph or in its complement (their absence
-  characterizes perfection);
+* the structural route searches for an induced odd chordless cycle of
+  length >= 5 in the graph or in its complement (their absence
+  characterizes perfection) by growing chordless paths depth first, at
+  most n * 2^(n-1) of them;
 * the definitional route computes clique number and chromatic number for
   every induced subgraph by subset dynamic programming and demands
   equality throughout.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import GuardError
 from .graph import WeightedGraph, complement
+from .oracle import subset_cost_table
 
 MAX_PERFECTION_N = 16
 MAX_OMEGA_CHI_N = 12
@@ -55,47 +57,58 @@ class PerfectionVerdict:
 def find_odd_hole(g: WeightedGraph) -> tuple[int, ...] | None:
     """Smallest-bitmask induced chordless odd cycle of length >= 5, if any.
 
-    Exhaustive over vertex subsets: a subset induces a chordless cycle iff
-    every member has exactly two neighbors inside it and the subset is
-    connected.  Deterministic: subsets are scanned in ascending bitmask
-    order and the cycle is reported starting at its smallest vertex,
-    stepping first to the smaller of that vertex's two cycle neighbors.
+    Depth-first search over chordless paths s, a, p2, ..., last, where s is
+    the hole's lowest vertex and a the smaller of its two hole neighbours.
+    A path extends by a neighbour of ``last`` outside the closed
+    neighbourhoods of s and of every path vertex but ``last``; a path of
+    k >= 4 vertices, k even, closes into a hole through a neighbour b > a
+    of s that is adjacent to ``last`` and to no other path vertex.  The
+    smallest hole mask found so far prunes every path whose mask already
+    reaches it, since extending a path only adds bits.
+
+    Cost: one stack entry per chordless path, and a path is fixed by its
+    first vertex and its vertex set, so at most n * 2^(n-1) entries
+    (524,288 at the n <= 16 guard).  Deterministic: the cycle is reported
+    starting at its smallest vertex, stepping first to the smaller of that
+    vertex's two cycle neighbours.
     """
     if g.n > MAX_PERFECTION_N:
         raise GuardError(f"odd-hole search capped at n <= {MAX_PERFECTION_N}")
     adj = g.adj
-    for mask in range(1 << g.n):
-        k = mask.bit_count()
-        if k < 5 or k % 2 == 0:
-            continue
-        if not _induces_cycle(adj, mask, k):
-            continue
-        return _walk_cycle(adj, mask, k)
-    return None
-
-
-def _induces_cycle(adj, mask: int, size: int) -> bool:
-    rest = mask
-    first = -1
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        if (adj[v] & mask).bit_count() != 2:
-            return False
-        if first < 0:
-            first = v
-        rest &= rest - 1
-    # connectivity: walk from the first vertex
-    seen = 1 << first
-    frontier = 1 << first
-    while frontier:
-        nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt |= adj[v] & mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
+    best = 1 << g.n
+    for s in range(g.n):
+        if 1 << s >= best:
+            break
+        below = (2 << s) - 1
+        blocked_s = adj[s] | below
+        rest = adj[s] & ~below
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            ends = adj[s] & -(2 << a)  # the candidates b
+            # (path mask, last vertex, vertices no extension may use,
+            #  neighbours of the path vertices other than s and last, size)
+            stack = [((1 << s) | (1 << a), a, blocked_s, 0, 2)]
+            while stack:
+                mask, last, blocked, inner, k = stack.pop()
+                if mask >= best:
+                    continue
+                if k >= 4 and not k & 1:
+                    close = ends & adj[last] & ~inner
+                    if close:
+                        hole = mask | (close & -close)
+                        if hole < best:
+                            best = hole
+                ext = adj[last] & ~blocked
+                blocked |= adj[last]  # last is in it already: it neighbours its predecessor
+                inner |= adj[last]
+                while ext:
+                    v = ext.bit_length() - 1
+                    ext ^= 1 << v
+                    stack.append((mask | (1 << v), v, blocked, inner, k + 1))
+    if best == 1 << g.n:
+        return None
+    return _walk_cycle(adj, best, best.bit_count())
 
 
 def _walk_cycle(adj, mask: int, size: int) -> tuple[int, ...]:
@@ -142,15 +155,9 @@ def is_perfect(g: WeightedGraph) -> PerfectionVerdict:
 
 
 def _omega_table(g: WeightedGraph) -> list[int]:
-    """Clique number of every induced subgraph, indexed by bitmask."""
-    adj = g.adj
-    table = [0] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        v = (mask & -mask).bit_length() - 1
-        skip = table[mask & ~(1 << v)]
-        take = 1 + table[mask & adj[v]]
-        table[mask] = take if take > skip else skip
-    return table
+    """Clique number of every induced subgraph, indexed by bitmask: the
+    unit-weight stable-set table of the complement."""
+    return subset_cost_table(complement(g).with_weights([1] * g.n))
 
 
 def _chi_table(g: WeightedGraph) -> list[int]:

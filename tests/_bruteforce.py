@@ -2,9 +2,10 @@
 
 Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
-cross-check, not circular.  Only usable for small n.  ``simplex_max`` is
-the exception: the Fraction simplex that the library's integer simplex
-replaced, kept as its slow reference.
+cross-check, not circular.  Only usable for small n.  ``simplex_max`` and
+``smallest_odd_hole`` are kept as slow references to code the library
+replaced: the Fraction simplex before its integer simplex, and the subset
+scan before its chordless-path odd-hole search.
 """
 
 from fractions import Fraction
@@ -135,6 +136,60 @@ def induced_cycles(g, min_len=4):
         if len(seen) == len(s):
             found.append(tuple(s))
     return found
+
+
+def smallest_odd_hole(g):
+    """The scan ``perfection.find_odd_hole`` replaced: every vertex subset in
+    ascending bitmask order, the first that induces an odd chordless cycle
+    of length >= 5, walked from its smallest vertex towards the smaller of
+    that vertex's two cycle neighbours."""
+    adj = g.adj
+    for mask in range(1 << g.n):
+        k = mask.bit_count()
+        if k < 5 or k % 2 == 0:
+            continue
+        if not _induces_cycle(adj, mask, k):
+            continue
+        return _walk_cycle(adj, mask, k)
+    return None
+
+
+def _induces_cycle(adj, mask: int, size: int) -> bool:
+    rest = mask
+    first = -1
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        if (adj[v] & mask).bit_count() != 2:
+            return False
+        if first < 0:
+            first = v
+        rest &= rest - 1
+    # connectivity: walk from the first vertex
+    seen = 1 << first
+    frontier = 1 << first
+    while frontier:
+        nxt = 0
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            nxt |= adj[v] & mask & ~seen
+        seen |= nxt
+        frontier = nxt
+    return seen == mask
+
+
+def _walk_cycle(adj, mask: int, size: int) -> tuple[int, ...]:
+    start = (mask & -mask).bit_length() - 1
+    nbrs = adj[start] & mask
+    a = (nbrs & -nbrs).bit_length() - 1
+    order = [start, a]
+    prev, cur = start, a
+    while len(order) < size:
+        step = adj[cur] & mask & ~(1 << prev)
+        nxt = (step & -step).bit_length() - 1
+        order.append(nxt)
+        prev, cur = cur, nxt
+    return tuple(order)
 
 
 def is_chordal(g) -> bool:

@@ -308,6 +308,20 @@ class TestLongTokensClipped:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and len(err) < 200
 
+    def test_imputation_integer_over_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"0-1-2": ' + "1" * LONG + "}")
+        code, out, err = run(capsys, "verify", "--generate", "paley3x3", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read imputation file: a number has more than 4300 digits\n"
+
+    def test_imputation_integer_at_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"0-1-2": ' + "1" * 4300 + "}")
+        code, out, err = run(capsys, "verify", "--generate", "paley3x3", str(path))
+        assert (code, err) == (3, "")
+        assert out.startswith("verdict: not-an-imputation")
+
 
 class TestErrors:
     def test_parse_error_exit_1(self, capsys, tmp_path):

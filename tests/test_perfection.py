@@ -16,7 +16,7 @@ from cliquecore import (
 )
 
 import _bruteforce as bf
-from conftest import graphs
+from conftest import graphs, random_graph
 
 
 def check_hole_witness(g, hole):
@@ -56,6 +56,52 @@ class TestFindOddHole:
     def test_guard(self):
         with pytest.raises(GuardError):
             find_odd_hole(WeightedGraph.from_edges(17))
+
+
+def grid4x4():
+    right = [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    down = [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)]
+    return WeightedGraph.from_edges(16, right + down)
+
+
+def hypercube4():
+    edges = [(u, u | b) for u in range(16) for b in (1, 2, 4, 8) if not u & b]
+    return WeightedGraph.from_edges(16, edges)
+
+
+def disjoint_cycles(*ranges):
+    """Chordless cycles on the given vertex ranges, in one 16-vertex graph."""
+    edges = [(r[i], r[(i + 1) % len(r)]) for r in ranges for i in range(len(r))]
+    return WeightedGraph.from_edges(16, edges)
+
+
+def sixteen_vertex_graphs():
+    yield "grid4x4", grid4x4()
+    yield "Q4", hypercube4()
+    # the 7-hole on the low vertices has a smaller mask than the 5-hole
+    yield "C7+C5", disjoint_cycles(range(7), range(11, 16))
+    yield "C15", disjoint_cycles(range(1, 16))
+    for seed in range(3):
+        yield f"bipartite-{seed}", random_bipartite(16, 0.5, seed=seed)
+        yield f"chordal-{seed}", random_chordal(16, seed=seed)
+    for tenths in range(1, 10):
+        yield f"G(16,0.{tenths})", random_graph(16, seed=tenths, edge_prob=tenths / 10)
+
+
+class TestFindOddHoleAgainstScan:
+    """The chordless-path search returns exactly the witness of the subset
+    scan it replaced, ``None`` included."""
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_small_graphs_and_complements(self, g):
+        assert find_odd_hole(g) == bf.smallest_odd_hole(g)
+        assert find_odd_hole(complement(g)) == bf.smallest_odd_hole(complement(g))
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in sixteen_vertex_graphs()])
+    def test_sixteen_vertices(self, g):
+        assert find_odd_hole(g) == bf.smallest_odd_hole(g)
+        assert find_odd_hole(complement(g)) == bf.smallest_odd_hole(complement(g))
 
 
 class TestIsPerfect:

@@ -38,3 +38,12 @@ def test_solve_runs_one_lp_of_the_expected_size(capsys):
     assert tracing.leftover_wrappers() == []
     assert [span[0] for span in tracer.spans].count("lp.solve_general") == 1
     assert tracer.counts["lp.tableau_cells"] == m * (n + m + 1)
+
+
+def test_check_perfect_searches_the_graph_and_its_complement(capsys):
+    with tracing.Tracer() as tracer:
+        assert main(["check-perfect", "--generate", "paley3x3", "--json"]) == 0
+    assert tracing.leftover_wrappers() == []
+    names = [span[0] for span in tracer.spans]
+    assert names.count("perfection.is_perfect") == 1
+    assert names.count("perfection.find_odd_hole") == 2
