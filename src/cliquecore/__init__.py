@@ -9,6 +9,7 @@ rational arithmetic only.
 
 from .cliques import CliqueSet, clique_key, is_clique, is_maximal_clique, maximal_cliques
 from .core import (
+    CertificateChecker,
     CoreReport,
     ExhaustiveChecker,
     Imputation,
@@ -72,6 +73,7 @@ from .perfection import PerfectionVerdict, find_odd_hole, is_perfect, omega_chi
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateChecker",
     "CliqueSet",
     "CoreReport",
     "DualGapError",

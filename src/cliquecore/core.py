@@ -35,7 +35,7 @@ from .graph import (
     scenario_mask,
     to_int_scale,
 )
-from .lp import first_uncovered, solve_dual
+from .lp import first_uncovered_scaled, solve_dual
 
 ZERO = Fraction(0)
 
@@ -57,7 +57,8 @@ class Imputation:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.values, ZERO)
+        scale, amounts = to_int_scale(self.values)
+        return Fraction(sum(amounts), scale)
 
     @classmethod
     def from_mapping(
@@ -169,9 +170,7 @@ def compute_core_imputation(
     return imputation
 
 
-def verify_core_certificate(
-    g: WeightedGraph, cliques: CliqueSet, imputation: Imputation
-) -> CoreReport:
+class CertificateChecker:
     """Core membership by certificate, polynomial in n + number of cliques.
 
     In the core iff (a) the vector is feasible for the clique-cover dual
@@ -179,35 +178,57 @@ def verify_core_certificate(
     worth.  Never enumerates scenarios.  A coverage failure at vertex v is
     reported as the violated singleton scenario {v}, whose available money
     is exactly v's coverage and whose cost is w_v.
+
+    Building one checker computes the worth once, by branch and bound
+    (:func:`game_worth`, not the subset cost table, so this verifier stays
+    independent of :class:`ExhaustiveChecker`), and scales the weights to
+    ints.  ``check`` scales each imputation to ints once and takes both
+    its total and its coverage from that scaling.
     """
-    _check_length(cliques, imputation)
-    worth = game_worth(g)
-    total = imputation.total
-    if total != worth:
+
+    def __init__(self, g: WeightedGraph, cliques: CliqueSet):
+        self.g = g
+        self.cliques = cliques
+        self.worth = game_worth(g)
+        self.demand = to_int_scale(g.weights)
+
+    def check(self, imputation: Imputation) -> CoreReport:
+        _check_length(self.cliques, imputation)
+        scale, amounts = to_int_scale(imputation.values)
+        total = Fraction(sum(amounts), scale)
+        if total != self.worth:
+            return CoreReport(
+                verdict=VERDICT_NOT_IMPUTATION,
+                total_money=total,
+                game_worth=self.worth,
+                violation=None,
+                scenarios_checked=0,
+            )
+        short = first_uncovered_scaled(self.cliques.cliques, scale, amounts, *self.demand)
+        if short is not None:
+            v, coverage = short
+            return CoreReport(
+                verdict=VERDICT_VIOLATED,
+                total_money=total,
+                game_worth=self.worth,
+                violation=Violation(scenario=(v,), money=coverage, cost=self.g.weights[v]),
+                scenarios_checked=0,
+            )
         return CoreReport(
-            verdict=VERDICT_NOT_IMPUTATION,
+            verdict=VERDICT_IN_CORE,
             total_money=total,
-            game_worth=worth,
+            game_worth=self.worth,
             violation=None,
             scenarios_checked=0,
         )
-    short = first_uncovered(cliques.cliques, imputation.values, g.weights)
-    if short is not None:
-        v, coverage = short
-        return CoreReport(
-            verdict=VERDICT_VIOLATED,
-            total_money=total,
-            game_worth=worth,
-            violation=Violation(scenario=(v,), money=coverage, cost=g.weights[v]),
-            scenarios_checked=0,
-        )
-    return CoreReport(
-        verdict=VERDICT_IN_CORE,
-        total_money=total,
-        game_worth=worth,
-        violation=None,
-        scenarios_checked=0,
-    )
+
+
+def verify_core_certificate(
+    g: WeightedGraph, cliques: CliqueSet, imputation: Imputation
+) -> CoreReport:
+    """One certificate check (see :class:`CertificateChecker`); build a
+    checker instead to check several vectors against one graph."""
+    return CertificateChecker(g, cliques).check(imputation)
 
 
 def _subset_sums(amounts: Mapping[int, int], bits: int) -> list[int]:
@@ -264,7 +285,8 @@ class ExhaustiveChecker:
 
     def check(self, imputation: Imputation) -> CoreReport:
         _check_length(self.cliques, imputation)
-        total = imputation.total
+        money_scale, amounts = to_int_scale(imputation.values)
+        total = Fraction(sum(amounts), money_scale)
         if total != self.worth:
             return CoreReport(
                 verdict=VERDICT_NOT_IMPUTATION,
@@ -276,7 +298,6 @@ class ExhaustiveChecker:
         # Money is held in units of 1/(scale * money_scale) and costs in
         # units of 1/scale, so money >= cost compares money to
         # money_scale * cost.
-        money_scale, amounts = to_int_scale(imputation.values)
         live = [
             (cmask, a * self.scale)
             for cmask, a in zip(self.cliques.masks, amounts)

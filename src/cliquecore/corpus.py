@@ -18,10 +18,10 @@ from fractions import Fraction
 from . import oracle
 from .cliques import CliqueSet, maximal_cliques
 from .core import (
+    CertificateChecker,
     ExhaustiveChecker,
     Imputation,
     compute_core_imputation,
-    verify_core_certificate,
 )
 from .generators import cycle, random_bipartite, random_chordal
 from .graph import WeightedGraph
@@ -101,7 +101,8 @@ def build_corpus(
 
 def scaled_to_total(raw: list[int], total: Fraction) -> list[Fraction]:
     s = sum(raw)
-    return [total * Fraction(r, s) for r in raw]
+    num, den = total.numerator, total.denominator * s
+    return [Fraction(num * r, den) for r in raw]
 
 
 def random_total_vectors(
@@ -189,6 +190,7 @@ def run_instance_suite(
     g = inst.graph
     cliques = maximal_cliques(g)
     checker = ExhaustiveChecker(g, cliques)
+    certificate = CertificateChecker(g, cliques)
     worth = checker.worth
 
     core_agree = True
@@ -198,7 +200,7 @@ def run_instance_suite(
 
     if inst.expected_perfect:
         imputation = compute_core_imputation(g, cliques)
-        cert = verify_core_certificate(g, cliques, imputation)
+        cert = certificate.check(imputation)
         exh = checker.check(imputation)
         core_agree &= cert.verdict == exh.verdict
         optimal_in_core = cert.in_core and exh.in_core
@@ -206,7 +208,7 @@ def run_instance_suite(
         dual_value = imputation.total
         tdi_holds = (
             is_integral(imputation.values)
-            and dual_value == oracle.min_integral_clique_cover_value(g)
+            and dual_value == oracle.min_integral_clique_cover_value(g, cliques=cliques)
         )
     else:
         # The dual optimum exceeds the worth here; any fixed-total vector
@@ -215,12 +217,12 @@ def run_instance_suite(
         tdi_holds = None
 
     for bad in infeasible_total_vectors(g, cliques, worth, rng, perturbed):
-        cert = verify_core_certificate(g, cliques, bad)
+        cert = certificate.check(bad)
         exh = checker.check(bad)
         core_agree &= cert.verdict == exh.verdict
         perturbed_all_fail &= not exh.in_core
     for vec in random_total_vectors(cliques, worth, rng, random_vectors):
-        cert = verify_core_certificate(g, cliques, vec)
+        cert = certificate.check(vec)
         exh = checker.check(vec)
         core_agree &= cert.verdict == exh.verdict
 
@@ -231,7 +233,7 @@ def run_instance_suite(
         # where odd cycles visibly keep the gap open.
         w01 = [1] * g.n if k == 0 else [rng.randint(0, 1) for _ in range(g.n)]
         try:
-            report = oracle.four_program_chain(g, w01)
+            report = oracle.four_program_chain(g, w01, cliques)
         except RuntimeError:
             chain_holds = False
             continue

@@ -22,9 +22,9 @@ every run reproducible (identical input, identical optimal vertex).  It
 pivots on integer rows, each over one denominator of its own, and returns
 Fractions; no floating point enters anywhere.  The clique cover is the
 row-dual vector of the final basis, read off the slack columns, and
-:func:`certify_optimum` checks both optima exactly, reading only the LP
-rows and not the tableau, before anything is returned.  The cover LP builder stays
-for ``--dump-lp``.
+:func:`certify_optimum` checks both optima exactly, in scaled ints,
+reading only the LP rows and not the tableau, before anything is
+returned.  The cover LP builder stays for ``--dump-lp``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cliques import CliqueSet
@@ -124,10 +125,21 @@ def first_uncovered(
     """The smallest j whose coverage, the sum of ``y[i]`` over the rows
     that contain j, falls short of ``demand[j]``, with that coverage; None
     when ``y`` covers every demand.  Sums in ints over the common
-    denominator of ``y``, skipping rows whose ``y`` is 0."""
-    scale, ys = to_int_scale(y)
-    need_scale, needs = to_int_scale(demand)
-    coverage = [0] * len(demand)
+    denominator of ``y`` (see :func:`first_uncovered_scaled`)."""
+    return first_uncovered_scaled(rows, *to_int_scale(y), *to_int_scale(demand))
+
+
+def first_uncovered_scaled(
+    rows: Sequence[Iterable[int]],
+    scale: int,
+    ys: Sequence[int],
+    need_scale: int,
+    needs: Sequence[int],
+) -> tuple[int, Fraction] | None:
+    """:func:`first_uncovered` on vectors already scaled to ints by
+    ``to_int_scale``: ``y[i] == ys[i] / scale`` and ``demand[j] ==
+    needs[j] / need_scale``.  Skips rows whose ``y`` is 0."""
+    coverage = [0] * len(needs)
     for row, yi in zip(rows, ys):
         if yi:
             for j in row:
@@ -144,19 +156,29 @@ def certify_optimum(
     """Exact proof that ``x`` is optimal for a stable-set LP, with ``duals``
     as the witness: x feasible, the duals nonnegative and covering every
     objective coefficient, and equal objective values.  Returns that
-    value; raises RuntimeError naming the first failed condition."""
-    if any(v < 0 for v in x):
+    value; raises RuntimeError naming the first failed condition.
+
+    Runs on ints: ``x``, the duals and the objective are each scaled once
+    by their common denominator (``to_int_scale``), so a row of ``x`` is
+    feasible when its int sum is at most the scale of ``x``, and both
+    objective values are int dot products over known denominators.  Only
+    the LP rows are read, never the tableau that produced ``x``.
+    """
+    x_scale, xs = to_int_scale(x)
+    if any(v < 0 for v in xs):
         raise RuntimeError("certificate: x has a negative coordinate")
+    y_scale, ys = to_int_scale(duals)
     for i, row in enumerate(lp.rows):
-        if sum((x[j] for j in row if x[j]), ZERO) > ONE:
+        if sum(xs[j] for j in row) > x_scale:
             raise RuntimeError(f"certificate: x violates row {i}")
-        if duals[i] < 0:
+        if ys[i] < 0:
             raise RuntimeError(f"certificate: dual {i} has the wrong sign")
-    short = first_uncovered(lp.rows, duals, lp.objective)
+    c_scale, cs = to_int_scale(lp.objective)
+    short = first_uncovered_scaled(lp.rows, y_scale, ys, c_scale, cs)
     if short is not None:
         raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
-    value = sum((cj * v for cj, v in zip(lp.objective, x)), ZERO)
-    dual_value = sum(duals, ZERO)
+    value = Fraction(sum(map(mul, cs, xs)), c_scale * x_scale)
+    dual_value = Fraction(sum(ys), y_scale)
     if value != dual_value:
         raise RuntimeError(
             f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .cliques import maximal_cliques
+from .cliques import CliqueSet, maximal_cliques
 from .errors import GuardError
 from .graph import WeightedGraph, induced_subgraph, make_scenario, to_int_scale
 
@@ -161,7 +161,9 @@ def subset_cost_table(g: WeightedGraph) -> list[int]:
 
 
 def min_integral_clique_cover_value(
-    g: WeightedGraph, weights: Sequence[int | Fraction] | None = None
+    g: WeightedGraph,
+    weights: Sequence[int | Fraction] | None = None,
+    cliques: CliqueSet | None = None,
 ) -> int:
     """Minimum total multiplicity of maximal cliques covering each vertex's
     integral demand: min sum_Q y_Q with y integral >= 0 and
@@ -170,7 +172,8 @@ def min_integral_clique_cover_value(
     Exact depth-first search.  Admissible lower bound: demands summed over
     a greedily chosen stable set (a clique meets a stable set in at most
     one vertex, so those demands can never share a unit).  Multiplicities
-    per clique never need to exceed the largest demand.
+    per clique never need to exceed the largest demand.  ``cliques``, the
+    maximal cliques of ``g``, is enumerated when not given.
     """
     if g.n > MAX_COVER_N:
         raise GuardError(f"integral cover search capped at n <= {MAX_COVER_N}")
@@ -189,7 +192,7 @@ def min_integral_clique_cover_value(
     if g.n == 0 or max(demand) == 0:
         return 0
 
-    cs = maximal_cliques(g)
+    cs = maximal_cliques(g) if cliques is None else cliques
     masks = cs.masks
     containing = cs.member_index
     max_mult = max(demand)
@@ -275,8 +278,12 @@ def min_integral_clique_cover_value(
     return best
 
 
-def four_program_chain(g: WeightedGraph, zero_one_weights: Sequence[int]) -> FourProgramReport:
-    """All four optima for a 0/1 cost vector, with the chain checked exactly."""
+def four_program_chain(
+    g: WeightedGraph, zero_one_weights: Sequence[int], cliques: CliqueSet | None = None
+) -> FourProgramReport:
+    """All four optima for a 0/1 cost vector, with the chain checked
+    exactly.  ``cliques``, the maximal cliques of ``g``, is enumerated when
+    not given."""
     if g.n > MAX_CHAIN_N:
         raise GuardError(f"four-program chain capped at n <= {MAX_CHAIN_N}")
     w01 = [int(x) for x in zero_one_weights]
@@ -287,9 +294,9 @@ def four_program_chain(g: WeightedGraph, zero_one_weights: Sequence[int]) -> Fou
 
     reweighted = g.with_weights(w01)
     ip = max_weight_stable_set(reweighted).total_cost
-    cs = maximal_cliques(g)
+    cs = maximal_cliques(g) if cliques is None else cliques
     primal, dual = lp.solve_game(reweighted, cs)
-    id_value = min_integral_clique_cover_value(g, w01)
+    id_value = min_integral_clique_cover_value(g, w01, cs)
 
     report = FourProgramReport(
         integral_primal=int(ip),

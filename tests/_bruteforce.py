@@ -2,10 +2,12 @@
 
 Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
-cross-check, not circular.  Only usable for small n.  ``simplex_max`` and
-``smallest_odd_hole`` are kept as slow references to code the library
-replaced: the Fraction simplex before its integer simplex, and the subset
-scan before its chordless-path odd-hole search.
+cross-check, not circular.  Only usable for small n.  ``simplex_max``,
+``smallest_odd_hole`` and ``certify_optimum`` are kept as slow references
+to code the library replaced: the Fraction simplex before its integer
+simplex, the subset scan before its chordless-path odd-hole search, and
+the Fraction optimality certificate before its int one (it shares the
+library's cover check ``first_uncovered``, which has tests of its own).
 """
 
 from fractions import Fraction
@@ -401,3 +403,33 @@ def simplex_max(
             x[basis[i]] = tab[i][ncols]
     duals = [-z2[j] if f else z2[j] for j, f in zip(identity, flipped)]
     return "optimal", x, duals
+
+
+# The Fraction certificate that ``cliquecore.lp.certify_optimum`` replaced,
+# called the same way; the two must return the same value or raise the
+# same RuntimeError message.
+def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fraction:
+    """Exact proof that ``x`` is optimal for a stable-set LP, with ``duals``
+    as the witness: x feasible, the duals nonnegative and covering every
+    objective coefficient, and equal objective values.  Returns that
+    value; raises RuntimeError naming the first failed condition."""
+    from cliquecore.graph import fraction_str
+    from cliquecore.lp import first_uncovered
+
+    if any(v < 0 for v in x):
+        raise RuntimeError("certificate: x has a negative coordinate")
+    for i, row in enumerate(lp.rows):
+        if sum((x[j] for j in row if x[j]), ZERO) > ONE:
+            raise RuntimeError(f"certificate: x violates row {i}")
+        if duals[i] < 0:
+            raise RuntimeError(f"certificate: dual {i} has the wrong sign")
+    short = first_uncovered(lp.rows, duals, lp.objective)
+    if short is not None:
+        raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
+    value = sum((cj * v for cj, v in zip(lp.objective, x)), ZERO)
+    dual_value = sum(duals, ZERO)
+    if value != dual_value:
+        raise RuntimeError(
+            f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"
+        )
+    return value

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from cliquecore import (
+    CertificateChecker,
     CoreReport,
     DualGapError,
     ExhaustiveChecker,
@@ -279,6 +280,59 @@ class TestExhaustiveAgainstReference:
             ours = verify_core_exhaustive(g, cs, imp)
             assert ours.in_core
             assert ours == reference_exhaustive(g, cs, imp, costs)
+
+
+def reference_certificate(g, cs, imp):
+    """Slow reference for the certificate check: the worth from
+    ``game_worth`` on every call, and the total and each vertex's coverage
+    summed in Fractions."""
+    worth = game_worth(g)
+    total = sum(imp.values, F(0))
+    if total != worth:
+        return CoreReport("not-an-imputation", total, worth, None, 0)
+    for v in range(g.n):
+        coverage = sum((imp.values[c] for c in cs.member_index[v]), F(0))
+        if coverage < g.weights[v]:
+            return CoreReport("violated", total, worth, Violation((v,), coverage, g.weights[v]), 0)
+    return CoreReport("in-core", total, worth, None, 0)
+
+
+class TestCertificateAgainstReference:
+    """One ``CertificateChecker`` reused over many vectors gives the whole
+    report of a fresh per-call Fraction check, on fractional weights and
+    fractional imputations."""
+
+    def test_fractional_weights_and_imputations(self):
+        rng = random.Random(4048)
+        verdicts = []
+        for trial in range(60):
+            n = rng.randint(1, 8)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+            ]
+            weights = [F(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+            g = WeightedGraph.from_edges(n, edges, weights)
+            cs = maximal_cliques(g)
+            worth = game_worth(g)
+            vectors = []
+            try:
+                vectors.append(compute_core_imputation(g, cs))
+            except DualGapError:
+                pass
+            for _ in range(4):
+                raw = [rng.randint(0, 9) * rng.randint(0, 1) for _ in cs.cliques]
+                if sum(raw) == 0:
+                    raw[0] = 1
+                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+            amounts = [F(rng.randint(0, 9), rng.choice((1, 5, 7))) for _ in cs.cliques]
+            vectors.append(Imputation(values=tuple(amounts)))
+            checker = CertificateChecker(g, cs)
+            for imp in vectors:
+                ours = checker.check(imp)
+                assert ours == reference_certificate(g, cs, imp), (trial, imp)
+                assert verify_core_certificate(g, cs, imp) == ours
+                verdicts.append(ours.verdict)
+        assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
 
 
 class TestCertificateEquivalence:

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
-from cliquecore import game_worth, maximal_cliques
+from cliquecore import game_worth, maximal_cliques, oracle
 from cliquecore.corpus import (
     breakable_vertices,
     build_corpus,
     infeasible_total_vectors,
     random_total_vectors,
     run_instance_suite,
+    scaled_to_total,
     summarize,
 )
 
@@ -69,6 +70,33 @@ def test_random_vectors_hold_exact_total():
     for imp in random_total_vectors(cs, worth, rng, 10):
         assert imp.total == worth
         assert all(v >= 0 for v in imp.values)
+
+
+def test_scaled_to_total_is_exact():
+    for total in (F(0), F(7), F(7, 3), F(22, 15)):
+        for raw in ([1], [3, 0, 4], [5, 10, 15, 2]):
+            values = scaled_to_total(raw, total)
+            assert values == [total * F(r, sum(raw)) for r in raw]
+            assert sum(values, F(0)) == total
+
+
+def test_suite_computes_the_worth_at_most_twice(monkeypatch):
+    # Once for the optimal dual's gap check and once for the certificate
+    # checker, not once per certificate check.
+    inst = build_corpus(1, seed=6)[0]
+    g = inst.graph
+    real = oracle.max_weight_stable_set
+    whole = []
+
+    def counting(h):
+        if (h.n, h.edges, h.weights) == (g.n, g.edges, g.weights):
+            whole.append(h)
+        return real(h)
+
+    monkeypatch.setattr(oracle, "max_weight_stable_set", counting)
+    report = run_instance_suite(inst, random.Random(0))
+    assert report.ok
+    assert 1 <= len(whole) <= 2
 
 
 def test_suite_runner_and_summary():

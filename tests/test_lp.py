@@ -267,6 +267,26 @@ class TestTableauDual:
         with pytest.raises(RuntimeError, match=failure):
             certify_optimum(problem, res.x, bad)
 
+    @pytest.mark.parametrize(
+        "which,delta,failure",
+        [
+            ("unused", -1, "x has a negative coordinate"),
+            ("first", 1, "x violates row"),
+        ],
+    )
+    def test_certificate_rejects_tampered_x(self, paley, which, delta, failure):
+        cs = maximal_cliques(paley)
+        problem = build_stable_set_lp(paley.weights, cs.cliques)
+        res = solve_general(problem)
+        pick = {
+            "first": next(v for v, a in enumerate(res.x) if a > 0),
+            "unused": next(v for v, a in enumerate(res.x) if a == 0),
+        }
+        bad = list(res.x)
+        bad[pick[which]] += delta
+        with pytest.raises(RuntimeError, match=failure):
+            certify_optimum(problem, bad, res.duals)
+
     def test_solver_runs_the_certificate(self, paley, monkeypatch):
         real = lp_module._simplex_max
 
@@ -277,6 +297,49 @@ class TestTableauDual:
         monkeypatch.setattr(lp_module, "_simplex_max", off_by_one)
         with pytest.raises(RuntimeError, match="certificate"):
             solve_dual(paley, maximal_cliques(paley))
+
+
+def assert_same_certificate(problem, x, duals):
+    """The int certificate returns the Fraction reference's value, or
+    raises its RuntimeError with the same message."""
+    try:
+        expected = bf.certify_optimum(problem, x, duals)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as info:
+            certify_optimum(problem, x, duals)
+        assert str(info.value) == str(exc)
+        return False
+    value = certify_optimum(problem, x, duals)
+    assert type(value) is F and value == expected
+    return True
+
+
+TAMPERS = st.sampled_from([F(-1), F(-1, 2), F(-1, 3), F(1, 6), F(1, 2), F(1)])
+
+
+class TestCertifyOptimumAgainstFraction:
+    """``certify_optimum`` on ints against the Fraction version it
+    replaced, on optimal x and duals and on copies with a few coordinates
+    moved."""
+
+    @pytest.mark.parametrize("strategy", [graphs, fractional_graphs])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_value_or_same_error(self, strategy, data):
+        g = data.draw(strategy(max_n=7))
+        cs = maximal_cliques(g)
+        problem = build_stable_set_lp(g.weights, cs.cliques)
+        status, x, duals = lp_module._simplex_max(g.n, problem.rows, list(problem.objective))
+        assert status == "optimal"
+        assert assert_same_certificate(problem, x, duals)
+        for _ in range(3):
+            bad_x, bad_duals = list(x), list(duals)
+            for vec in (bad_x, bad_duals):
+                if vec:
+                    moves = st.tuples(st.integers(0, len(vec) - 1), TAMPERS)
+                    for i, delta in data.draw(st.lists(moves, max_size=2)):
+                        vec[i] += delta
+            assert_same_certificate(problem, bad_x, bad_duals)
 
 
 def reference_simplex(nv, rows, c):
