@@ -14,6 +14,7 @@ from .core import (
     ExhaustiveChecker,
     Imputation,
     Violation,
+    certified_worth,
     compute_core_imputation,
     game_worth,
     lift_dual,
@@ -93,6 +94,7 @@ __all__ = [
     "WeightedGraph",
     "build_clique_cover_lp",
     "build_stable_set_lp",
+    "certified_worth",
     "clique_key",
     "complement",
     "complete",

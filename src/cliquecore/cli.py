@@ -20,10 +20,11 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from . import oracle
 from .cliques import maximal_cliques
 from .core import (
     Imputation,
-    compute_core_imputation,
+    certified_worth,
     game_worth,
     verify_core_certificate,
     verify_core_exhaustive,
@@ -87,8 +88,13 @@ def _load_graph(args) -> WeightedGraph:
 def cmd_solve(args) -> int:
     g = _load_graph(args)
     cliques = maximal_cliques(g)
-    worth = game_worth(g)
+    # The fallback search's cap holds even when the LP proves the worth:
+    # above it the LP's own size is not yet bounded by any guard.
+    oracle.check_stable_set_size(g.n)
     primal, dual = solve_game(g, cliques)
+    worth = certified_worth(g, primal)
+    if worth is None:
+        worth = game_worth(g)
     if args.dump_lp:
         Path(args.dump_lp + ".primal.lp").write_text(
             lp_format(build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
@@ -231,6 +237,12 @@ def cmd_generate(args) -> int:
 def cmd_corpus(args) -> int:
     if args.seed is None:
         raise _InputError("corpus requires --seed")
+    if args.count < 0:
+        raise _InputError(f"--count must be >= 0, got {clip(str(args.count))}")
+    if args.n > oracle.MAX_CHAIN_N:
+        # Every instance runs the four-program chain; refuse before drawing
+        # the corpus, whose cover searches can run for minutes above it.
+        raise GuardError(f"corpus instances capped at --n <= {oracle.MAX_CHAIN_N}")
     instances = corpus_mod.build_corpus(
         count=args.count,
         seed=args.seed,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import add, lt, mul
 from typing import Iterable, Mapping
@@ -35,7 +36,7 @@ from .graph import (
     scenario_mask,
     to_int_scale,
 )
-from .lp import first_uncovered_scaled, solve_dual
+from .lp import PrimalSolution, first_uncovered_scaled, solve_game
 
 ZERO = Fraction(0)
 
@@ -51,13 +52,20 @@ class Imputation:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for cid, v in enumerate(self.values):
-            if v < 0:
-                raise ValueError(f"negative money {clip(str(v))} on clique {cid}")
+        for cid, a in enumerate(self.scaled[1]):
+            if a < 0:
+                raise ValueError(f"negative money {clip(str(self.values[cid]))} on clique {cid}")
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The values as ints over their common denominator D: ``(D, ints)``
+        (see ``graph.to_int_scale``), computed once per imputation."""
+        scale, ints = to_int_scale(self.values)
+        return scale, tuple(ints)
 
     @property
     def total(self) -> Fraction:
-        scale, amounts = to_int_scale(self.values)
+        scale, amounts = self.scaled
         return Fraction(sum(amounts), scale)
 
     @classmethod
@@ -150,23 +158,50 @@ def money(
     return total
 
 
+def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction | None:
+    """The game worth, proved by a certified optimum of the stable-set LP
+    (``lp.solve_game``), or None when that optimum does not prove it.
+
+    When ``primal.x`` is 0/1, its support is checked to be stable on
+    ``g.adj``, not through the clique list.  A stable set's weight is at
+    most the worth, and the worth is at most the total of the certified
+    cover on g's cliques, which ``lp.certify_optimum`` has shown to equal
+    ``w.x`` (weak duality), so ``primal.value`` is the worth exactly.  On a perfect graph
+    the LP's polytope is integral (Chvatal 1975), so its simplex vertex is
+    0/1; a fractional ``x`` returns None.
+    """
+    support = 0
+    for v, xv in enumerate(primal.x):
+        if xv == 1:
+            support |= 1 << v
+        elif xv:
+            return None
+    adj = g.adj
+    if any(adj[v] & support for v in mask_to_scenario(support)):
+        return None
+    return primal.value
+
+
 def compute_core_imputation(
     g: WeightedGraph, cliques: CliqueSet | None = None
 ) -> Imputation:
     """A core imputation: the optimal clique-cover dual, exact.
 
     Well-defined on perfect graphs, where the dual optimum equals the game
-    worth.  On other graphs (or under a solver bug) the totals differ and
+    worth.  The worth comes from the same LP solve (:func:`certified_worth`)
+    when its optimum is 0/1, and from :func:`game_worth` otherwise.  On
+    other graphs (or under a solver bug) the totals differ and
     DualGapError is raised rather than returning a non-core allocation;
     callers are expected to have verified or asserted perfection.
     """
     if cliques is None:
         cliques = maximal_cliques(g)
-    dual = solve_dual(g, cliques)
+    primal, dual = solve_game(g, cliques)
     imputation = Imputation(values=dual.y)
-    worth = game_worth(g)
-    if imputation.total != worth:
-        raise DualGapError(imputation.total, worth)
+    if certified_worth(g, primal) is None:
+        worth = game_worth(g)
+        if imputation.total != worth:
+            raise DualGapError(imputation.total, worth)
     return imputation
 
 
@@ -179,22 +214,22 @@ class CertificateChecker:
     reported as the violated singleton scenario {v}, whose available money
     is exactly v's coverage and whose cost is w_v.
 
-    Building one checker computes the worth once, by branch and bound
-    (:func:`game_worth`, not the subset cost table, so this verifier stays
-    independent of :class:`ExhaustiveChecker`), and scales the weights to
-    ints.  ``check`` scales each imputation to ints once and takes both
-    its total and its coverage from that scaling.
+    Building one checker computes the worth once, by its own branch and
+    bound (:func:`game_worth`; :class:`ExhaustiveChecker` runs another and
+    cross-checks it against its cost table, so neither verifier reads the
+    other's number).  ``check`` takes both the total and the coverage from
+    the imputation's int scaling (``Imputation.scaled``) and the weights'
+    (``WeightedGraph.scaled_weights``).
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
         self.g = g
         self.cliques = cliques
         self.worth = game_worth(g)
-        self.demand = to_int_scale(g.weights)
 
     def check(self, imputation: Imputation) -> CoreReport:
         _check_length(self.cliques, imputation)
-        scale, amounts = to_int_scale(imputation.values)
+        scale, amounts = imputation.scaled
         total = Fraction(sum(amounts), scale)
         if total != self.worth:
             return CoreReport(
@@ -204,7 +239,9 @@ class CertificateChecker:
                 violation=None,
                 scenarios_checked=0,
             )
-        short = first_uncovered_scaled(self.cliques.cliques, scale, amounts, *self.demand)
+        short = first_uncovered_scaled(
+            self.cliques.cliques, scale, amounts, *self.g.scaled_weights
+        )
         if short is not None:
             v, coverage = short
             return CoreReport(
@@ -256,20 +293,27 @@ def _subset_sums(amounts: Mapping[int, int], bits: int) -> list[int]:
 class ExhaustiveChecker:
     """Scenario-by-scenario core check with shared precomputation.
 
-    Building one checker computes the subset cost table once, in ints
-    scaled by the weights' common denominator ``scale``
-    (see ``oracle.subset_cost_table``); ``check`` can then be run against
-    many candidate vectors cheaply.  Scenarios are scanned in ascending
-    bitmask order and the first violated one is reported, so
-    counterexamples are deterministic and diffable.
+    Scenarios are scanned in ascending bitmask order and the first violated
+    one is reported, so counterexamples are deterministic and diffable.
+    ``check`` works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
+    ints: costs scaled by the weights' common denominator ``scale``
+    (``WeightedGraph.scaled_weights``), money by the imputation's as well
+    (``Imputation.scaled``).  For T below 2^v, money(T + {v}) is money(T)
+    plus the money of the firms at v that miss T, which one subset-sum
+    transform over the v lower bits gives for every T at once.
 
-    ``check`` scales the imputation to ints as well and computes money one
-    block ``[2^v, 2^(v+1))`` of scenarios at a time: for T below 2^v,
-    money(T + {v}) is money(T) plus the money of the firms at v that miss
-    T, which one subset-sum transform over the v lower bits gives for
-    every T at once.  Each block is compared with the cost table before
-    the next is built, so a violation in an early scenario costs only the
-    blocks below it, and a full scan about n * 2^n int additions.
+    The subset cost table (see ``oracle.subset_cost_table``) starts as
+    ``[0]`` and grows by one block (``oracle.extend_cost_table``) the first
+    time any check reaches that block; later checks on the same checker
+    reuse it.  Each block is compared with its costs before the next is
+    built, so a violation in an early scenario costs only the blocks below
+    it, and a full scan about n * 2^n int additions plus the table.
+
+    The worth comes from its own branch and bound (:func:`game_worth`), as
+    in :class:`CertificateChecker`.  The table's last entry is the same
+    number, so the check that completes the table compares the two and
+    raises RuntimeError if they differ: every in-core verdict is
+    cross-checked against the definition.
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
@@ -279,13 +323,28 @@ class ExhaustiveChecker:
             )
         self.g = g
         self.cliques = cliques
-        self.scale = to_int_scale(g.weights)[0]
-        self.cost_table = oracle.subset_cost_table(g)
-        self.worth = Fraction(self.cost_table[-1], self.scale)
+        self.scale = g.scaled_weights[0]
+        self.worth = game_worth(g)
+        self.cost_table = [0]
+
+    def _extend_cost_table(self) -> None:
+        oracle.extend_cost_table(self.g, self.cost_table)
+        if len(self.cost_table) == 1 << self.g.n:
+            table_worth = Fraction(self.cost_table[-1], self.scale)
+            if table_worth != self.worth:
+                raise RuntimeError(
+                    f"cost table worth {fraction_str(table_worth)} != branch-and-bound"
+                    f" worth {fraction_str(self.worth)}"
+                )
+
+    def _needs(self, half: int, money_scale: int) -> Iterable[int]:
+        """``money_scale`` times each scaled cost of block ``[half, 2 * half)``."""
+        need = islice(self.cost_table, half, 2 * half)
+        return need if money_scale == 1 else map(mul, need, repeat(money_scale))
 
     def check(self, imputation: Imputation) -> CoreReport:
         _check_length(self.cliques, imputation)
-        money_scale, amounts = to_int_scale(imputation.values)
+        money_scale, amounts = imputation.scaled
         total = Fraction(sum(amounts), money_scale)
         if total != self.worth:
             return CoreReport(
@@ -306,6 +365,8 @@ class ExhaustiveChecker:
         money = [0]  # of every scenario below 2^v
         for v in range(self.g.n):
             half = 1 << v
+            if len(self.cost_table) == half:
+                self._extend_cost_table()
             firms: dict[int, int] = {}
             for cmask, a in live:
                 if cmask >> v & 1:
@@ -314,11 +375,8 @@ class ExhaustiveChecker:
             # The firms at v that miss T are those whose lower part fits in
             # the complement of T, the mirror image of T in the block.
             block = list(map(add, money, reversed(_subset_sums(firms, v))))
-            need = islice(self.cost_table, half, 2 * half)
-            if money_scale != 1:
-                need = map(mul, need, repeat(money_scale))
-            bad = next(compress(count(half), map(lt, block, need)), None)
-            if bad is not None:
+            if any(map(lt, block, self._needs(half, money_scale))):
+                bad = next(compress(count(half), map(lt, block, self._needs(half, money_scale))))
                 return CoreReport(
                     verdict=VERDICT_VIOLATED,
                     total_money=total,

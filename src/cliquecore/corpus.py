@@ -25,7 +25,7 @@ from .core import (
 )
 from .generators import cycle, random_bipartite, random_chordal
 from .graph import WeightedGraph
-from .lp import first_uncovered, is_integral
+from .lp import first_uncovered_scaled, is_integral
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,11 @@ def infeasible_total_vectors(
             raw[cid] = rng.randint(0, 100)
         if sum(raw) == 0:
             raw[avoiding[rng.randrange(len(avoiding))]] = 1
-        values = scaled_to_total(raw, total)
-        if first_uncovered(cliques.cliques, values, g.weights) is None:
+        imputation = Imputation(values=tuple(scaled_to_total(raw, total)))
+        short = first_uncovered_scaled(cliques.cliques, *imputation.scaled, *g.scaled_weights)
+        if short is None:
             continue  # cannot happen; guards the construction
-        out.append(Imputation(values=tuple(values)))
+        out.append(imputation)
     return out
 
 

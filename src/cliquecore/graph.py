@@ -116,12 +116,7 @@ class WeightedGraph:
         if weights is None:
             w = tuple(Fraction(1) for _ in range(n))
         else:
-            w = tuple(Fraction(x) for x in weights)
-            if len(w) != n:
-                raise ValueError(f"expected {n} weights, got {len(w)}")
-            for v, x in enumerate(w):
-                if x < 0:
-                    raise ValueError(f"negative weight {x} at vertex {v}")
+            w = _checked_weights(n, weights)
         lab = None
         if labels is not None:
             lab = tuple(str(s) for s in labels)
@@ -138,14 +133,35 @@ class WeightedGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """The weights as ints over their common denominator D:
+        ``(D, ints)`` with ``Fraction(ints[v], D) == weights[v]``
+        (see :func:`to_int_scale`)."""
+        scale, ints = to_int_scale(self.weights)
+        return scale, tuple(ints)
+
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
         return bool(self.adj[u] >> v & 1)
 
     def with_weights(self, weights: Iterable[Fraction | int]) -> "WeightedGraph":
-        """Same structure, different cost vector."""
-        return WeightedGraph.from_edges(self.n, self.edges, weights, self.labels)
+        """Same structure, different cost vector.  The edges are already
+        canonical, so only the new weights are validated."""
+        w = _checked_weights(self.n, weights)
+        return WeightedGraph(n=self.n, edges=self.edges, weights=w, labels=self.labels)
+
+
+def _checked_weights(n: int, weights: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
+    """``n`` nonnegative weights as Fractions; raises ValueError otherwise."""
+    w = tuple(Fraction(x) for x in weights)
+    if len(w) != n:
+        raise ValueError(f"expected {n} weights, got {len(w)}")
+    for v, x in enumerate(w):
+        if x < 0:
+            raise ValueError(f"negative weight {x} at vertex {v}")
+    return w
 
 
 def make_scenario(members: Iterable[int], n: int) -> Scenario:

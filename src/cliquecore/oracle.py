@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import lp
 from .cliques import CliqueSet, maximal_cliques
 from .errors import GuardError
-from .graph import WeightedGraph, induced_subgraph, make_scenario, to_int_scale
+from .graph import WeightedGraph, induced_subgraph, make_scenario
 
 MAX_STABLE_SET_N = 30
 MAX_COVER_N = 20
@@ -55,20 +55,27 @@ class FourProgramReport:
         return self.integral_primal == self.integral_dual
 
 
+def check_stable_set_size(n: int) -> None:
+    """Raise GuardError when a graph of n vertices is too large for
+    :func:`max_weight_stable_set`."""
+    if n > MAX_STABLE_SET_N:
+        raise GuardError(f"stable-set search capped at n <= {MAX_STABLE_SET_N}")
+
+
 def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
     """Maximum-cost stable set by branch and bound, exact.
 
     Ties are broken toward the lexicographically smallest member list, so
     the result is reproducible byte for byte.  The bound is the sum of the
     remaining candidates' weights (admissible).  The search runs on the
-    weights scaled to ints by their common denominator (``to_int_scale``).
+    weights scaled to ints by their common denominator
+    (``WeightedGraph.scaled_weights``).
     """
-    if g.n > MAX_STABLE_SET_N:
-        raise GuardError(f"stable-set search capped at n <= {MAX_STABLE_SET_N}")
+    check_stable_set_size(g.n)
     if g.n == 0:
         return StableSetResult(members=(), total_cost=ZERO)
     adj = g.adj
-    scale, w = to_int_scale(g.weights)
+    scale, w = g.scaled_weights
 
     def weight_of(mask: int) -> int:
         total = 0
@@ -137,27 +144,35 @@ def subset_cost_table(g: WeightedGraph) -> list[int]:
     """Scaled cost(S) for every vertex subset S, indexed by bitmask.
 
     Entry ``mask`` is the int ``D * cost(S)``, where D is the common
-    denominator of the weights (``to_int_scale(g.weights)[0]``, 1 for
-    integer weights), so ``Fraction(table[mask], D) == cost(g, S)``.
-
-    Built one highest vertex v at a time: a set whose highest vertex is v
-    either skips v or takes v and drops v's neighbours, and both of those
-    sets lie in the half already built, so block ``[2^v, 2^(v+1))`` is one
-    pass over ``table[:2^v]``.  Used by the exhaustive core checker, where
-    every one of the 2^n scenarios is consulted.
+    denominator of the weights (``g.scaled_weights[0]``, 1 for integer
+    weights), so ``Fraction(table[mask], D) == cost(g, S)``.  Built by n
+    steps of :func:`extend_cost_table` from ``[0]``.
     """
     if g.n > MAX_COST_TABLE_N:
         raise GuardError(f"subset cost table capped at n <= {MAX_COST_TABLE_N}")
-    _, w = to_int_scale(g.weights)
     table = [0]
-    for v in range(g.n):
-        keep = ~g.adj[v] & ((1 << v) - 1)
-        wv = w[v]
-        table += [
-            skip if skip > (take := wv + table[t & keep]) else take
-            for t, skip in enumerate(table)
-        ]
+    for _ in range(g.n):
+        extend_cost_table(g, table)
     return table
+
+
+def extend_cost_table(g: WeightedGraph, table: list[int]) -> None:
+    """Append the next block of :func:`subset_cost_table` in place.
+
+    ``table`` holds the entries of every set below 2^v; this appends block
+    ``[2^v, 2^(v+1))``, the sets whose highest vertex is v.  Such a set
+    either skips v or takes v and drops v's neighbours, and both of those
+    sets lie in the part already built, so the block is one pass over it.
+    The exhaustive core checker grows its table this way, a block at a
+    time as its scan first reaches it.
+    """
+    v = len(table).bit_length() - 1
+    keep = ~g.adj[v] & ((1 << v) - 1)
+    wv = g.scaled_weights[1][v]
+    table += [
+        skip if skip > (take := wv + table[t & keep]) else take
+        for t, skip in enumerate(table)
+    ]
 
 
 def min_integral_clique_cover_value(
@@ -181,7 +196,7 @@ def min_integral_clique_cover_value(
         weights = g.weights
     demand: list[int] = []
     for v, x in enumerate(weights):
-        f = Fraction(x)
+        f = x if type(x) is int else Fraction(x)
         if f.denominator != 1:
             raise ValueError(f"integral cover needs integer weights, got {f} at {v}")
         if f < 0:

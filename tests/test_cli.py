@@ -268,6 +268,22 @@ class TestCorpus:
         assert out1 == out2
         assert json.loads(out1)["allOk"] is True
 
+    def test_negative_count_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "corpus", "--count", "-3", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --count must be >= 0, got -3\n"
+
+    def test_n_above_the_chain_cap_refused_before_drawing(self, capsys, monkeypatch):
+        def drawn(**kwargs):
+            raise AssertionError("corpus drawn before the size guard")
+
+        monkeypatch.setattr(cliquecore.corpus, "build_corpus", drawn)
+        code, out, err = run(capsys, "corpus", "--count", "14", "--n", "17", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "guard: corpus instances capped at --n <= 16\n"
+
 
 LONG = 5000
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecore import (
     CertificateChecker,
@@ -13,19 +14,28 @@ from cliquecore import (
     Imputation,
     Violation,
     WeightedGraph,
+    certified_worth,
+    complete,
     compute_core_imputation,
     cost,
     cycle,
     game_worth,
     lift_dual,
+    max_weight_stable_set,
     maximal_cliques,
     money,
+    oracle,
     paley3x3,
+    random_bipartite,
+    random_chordal,
     restrict_dual,
     solve_dual,
+    solve_primal,
+    subset_cost_table,
     verify_core_certificate,
     verify_core_exhaustive,
 )
+from cliquecore import core as core_module
 from cliquecore.corpus import build_corpus, infeasible_total_vectors, scaled_to_total
 from cliquecore.graph import mask_to_scenario
 
@@ -280,6 +290,97 @@ class TestExhaustiveAgainstReference:
             ours = verify_core_exhaustive(g, cs, imp)
             assert ours.in_core
             assert ours == reference_exhaustive(g, cs, imp, costs)
+
+
+class TestLazyCostTable:
+    """The exhaustive checker builds cost-table blocks only as its scan
+    reaches them, and the full table cross-checks the worth."""
+
+    def test_starved_vector_builds_only_the_blocks_it_reads(self, monkeypatch):
+        real = oracle.extend_cost_table
+        entries = []
+
+        def counting(g, table):
+            before = len(table)
+            real(g, table)
+            entries.append(len(table) - before)
+
+        monkeypatch.setattr(oracle, "extend_cost_table", counting)
+        rng = random.Random(12)
+        checked = 0
+        for inst in build_corpus(8, seed=41, n_min=8, n_max=12):
+            g = inst.graph
+            cs = maximal_cliques(g)
+            worth = game_worth(g)
+            for bad in infeasible_total_vectors(g, cs, worth, rng, 3):
+                checker = ExhaustiveChecker(g, cs)
+                entries.clear()
+                report = checker.check(bad)
+                assert report.verdict == "violated"
+                block = max(report.violation.scenario)
+                assert 1 + sum(entries) == len(checker.cost_table) <= 2 ** (block + 1)
+                checked += 1
+            assert checker.check(compute_core_imputation(g, cs)).in_core
+            assert len(checker.cost_table) == 1 << g.n
+            assert checker.cost_table == subset_cost_table(g)
+        assert checked == 24
+
+    def test_full_scan_cross_checks_the_worth(self, monkeypatch):
+        inst = build_corpus(1, seed=6)[0]
+        g = inst.graph
+        cs = maximal_cliques(g)
+        values = list(compute_core_imputation(g, cs).values)
+        values[0] += 1
+        boosted = Imputation(values=tuple(values))
+        assert ExhaustiveChecker(g, cs).check(boosted).verdict == "not-an-imputation"
+        worth = game_worth(g)
+        monkeypatch.setattr(core_module, "game_worth", lambda h: worth + 1)
+        with pytest.raises(RuntimeError, match="cost table worth"):
+            ExhaustiveChecker(g, cs).check(boosted)
+
+
+@st.composite
+def perfect_fractional_graphs(draw, max_n: int = 12):
+    """Random bipartite or chordal graphs (perfect) with weights drawn as
+    fractions of mixed denominators."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    if draw(st.booleans()):
+        g = random_bipartite(n, 0.5, seed)
+    else:
+        g = random_chordal(n, seed)
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=20, max_denominator=12),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return g.with_weights(weights)
+
+
+class TestCertifiedWorth:
+    @given(perfect_fractional_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_branch_and_bound_on_perfect_graphs(self, g):
+        primal = solve_primal(g, maximal_cliques(g))
+        worth = certified_worth(g, primal)
+        assert worth is not None
+        assert worth == max_weight_stable_set(g).total_cost
+
+    def test_fractional_optimum_proves_nothing(self, c5):
+        assert certified_worth(c5, solve_primal(c5, maximal_cliques(c5))) is None
+        with pytest.raises(DualGapError):
+            compute_core_imputation(c5)
+
+    def test_support_must_be_stable(self):
+        # A 0/1 vector on two adjacent vertices is no stable set, whatever
+        # value it claims.
+        k3 = complete(3)
+        primal = solve_primal(k3, maximal_cliques(k3))
+        assert certified_worth(k3, primal) == 1
+        forged = type(primal)(x=(F(1), F(1), F(0)), value=F(2))
+        assert certified_worth(k3, forged) is None
 
 
 def reference_certificate(g, cs, imp):

@@ -81,8 +81,8 @@ def test_scaled_to_total_is_exact():
 
 
 def test_suite_computes_the_worth_at_most_twice(monkeypatch):
-    # Once for the optimal dual's gap check and once for the certificate
-    # checker, not once per certificate check.
+    # Once per verifier (the exhaustive and the certificate checker), not
+    # once per check; the optimal dual's worth comes from its own LP proof.
     inst = build_corpus(1, seed=6)[0]
     g = inst.graph
     real = oracle.max_weight_stable_set
