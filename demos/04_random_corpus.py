@@ -16,7 +16,7 @@ gap opens, which the summary reports rather than treats as an error.
 
 import random
 
-from cliquecore.corpus import build_corpus, run_instance_suite, summarize
+from cliquecore.corpus import PROPERTIES, build_corpus, run_instance_suite, summarize
 
 SEED = 7
 
@@ -27,14 +27,7 @@ reports = [run_instance_suite(inst, rng) for inst in instances]
 summary = summarize(reports)
 
 print(f"instances: {summary['instances']}")
-for key in (
-    "coreAgreement",
-    "optimalDualInCore",
-    "perturbedRejected",
-    "dualIntegrality",
-    "chainInequalities",
-    "chainGapClosed",
-):
+for key, *_ in PROPERTIES:
     counts = summary[key]
     print(f"  {key}: {counts['pass']} pass / {counts['fail']} fail")
 print(

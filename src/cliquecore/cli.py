@@ -257,14 +257,7 @@ def cmd_corpus(args) -> int:
         _emit_json(summary)
     else:
         print(f"instances: {summary['instances']}")
-        for prop in (
-            "coreAgreement",
-            "optimalDualInCore",
-            "perturbedRejected",
-            "dualIntegrality",
-            "chainInequalities",
-            "chainGapClosed",
-        ):
+        for prop, *_ in corpus_mod.PROPERTIES:
             counts = summary[prop]
             print(f"{prop}: {counts['pass']} pass, {counts['fail']} fail")
         if args.include_imperfect:

@@ -11,8 +11,10 @@ cost.
 
 Two verifiers are provided: a certificate check (dual feasibility plus
 exact totality, never enumerating scenarios) and an exhaustive check over
-all 2^n scenarios.  On perfect graphs the two agree on every input; that
-equivalence is the central property the test suite exercises.
+all 2^n scenarios.  Each finds only its first violation; the length and
+totality checks and the report are shared (``_verdict``).  On perfect
+graphs the two agree on every input; that equivalence is the central
+property the test suite exercises.
 """
 
 from __future__ import annotations
@@ -135,6 +137,29 @@ def _check_length(cliques: CliqueSet, imputation: Imputation) -> None:
         )
 
 
+def _verdict(
+    checker: "CertificateChecker | ExhaustiveChecker", imputation: Imputation
+) -> CoreReport:
+    """The verdict of either checker on one vector, and the one place a
+    :class:`CoreReport` is built.
+
+    The vector must index the checker's cliques (ValueError otherwise).
+    One whose total differs from the worth is not an imputation at all,
+    which is reported apart from a core violation, with no scenario
+    checked.  Otherwise the checker's ``_first_violation(imputation)``
+    gives its first violated scenario, or None, and how many scenarios it
+    checked.
+    """
+    _check_length(checker.cliques, imputation)
+    total = imputation.total
+    if total != checker.worth:
+        verdict, violation, checked = VERDICT_NOT_IMPUTATION, None, 0
+    else:
+        violation, checked = checker._first_violation(imputation)
+        verdict = VERDICT_IN_CORE if violation is None else VERDICT_VIOLATED
+    return CoreReport(verdict, total, checker.worth, violation, checked)
+
+
 def game_worth(g: WeightedGraph) -> Fraction:
     """Total money of the agent: cost of the optimal investment in the
     whole-graph scenario."""
@@ -217,8 +242,9 @@ class CertificateChecker:
     Building one checker computes the worth once, by its own branch and
     bound (:func:`game_worth`; :class:`ExhaustiveChecker` runs another and
     cross-checks it against its cost table, so neither verifier reads the
-    other's number).  ``check`` takes both the total and the coverage from
-    the imputation's int scaling (``Imputation.scaled``) and the weights'
+    other's number).  ``check`` leaves the length and totality checks to
+    :func:`_verdict` and finds the first uncovered vertex from the
+    imputation's int scaling (``Imputation.scaled``) and the weights'
     (``WeightedGraph.scaled_weights``).
     """
 
@@ -228,36 +254,16 @@ class CertificateChecker:
         self.worth = game_worth(g)
 
     def check(self, imputation: Imputation) -> CoreReport:
-        _check_length(self.cliques, imputation)
-        scale, amounts = imputation.scaled
-        total = Fraction(sum(amounts), scale)
-        if total != self.worth:
-            return CoreReport(
-                verdict=VERDICT_NOT_IMPUTATION,
-                total_money=total,
-                game_worth=self.worth,
-                violation=None,
-                scenarios_checked=0,
-            )
+        return _verdict(self, imputation)
+
+    def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
         short = first_uncovered_scaled(
-            self.cliques.cliques, scale, amounts, *self.g.scaled_weights
+            self.cliques.cliques, *imputation.scaled, *self.g.scaled_weights
         )
-        if short is not None:
-            v, coverage = short
-            return CoreReport(
-                verdict=VERDICT_VIOLATED,
-                total_money=total,
-                game_worth=self.worth,
-                violation=Violation(scenario=(v,), money=coverage, cost=self.g.weights[v]),
-                scenarios_checked=0,
-            )
-        return CoreReport(
-            verdict=VERDICT_IN_CORE,
-            total_money=total,
-            game_worth=self.worth,
-            violation=None,
-            scenarios_checked=0,
-        )
+        if short is None:
+            return None, 0
+        v, coverage = short
+        return Violation(scenario=(v,), money=coverage, cost=self.g.weights[v]), 0
 
 
 def verify_core_certificate(
@@ -295,7 +301,8 @@ class ExhaustiveChecker:
 
     Scenarios are scanned in ascending bitmask order and the first violated
     one is reported, so counterexamples are deterministic and diffable.
-    ``check`` works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
+    ``check`` leaves the length and totality checks to :func:`_verdict`;
+    the scan works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
     ints: costs scaled by the weights' common denominator ``scale``
     (``WeightedGraph.scaled_weights``), money by the imputation's as well
     (``Imputation.scaled``).  For T below 2^v, money(T + {v}) is money(T)
@@ -343,17 +350,10 @@ class ExhaustiveChecker:
         return need if money_scale == 1 else map(mul, need, repeat(money_scale))
 
     def check(self, imputation: Imputation) -> CoreReport:
-        _check_length(self.cliques, imputation)
+        return _verdict(self, imputation)
+
+    def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
         money_scale, amounts = imputation.scaled
-        total = Fraction(sum(amounts), money_scale)
-        if total != self.worth:
-            return CoreReport(
-                verdict=VERDICT_NOT_IMPUTATION,
-                total_money=total,
-                game_worth=self.worth,
-                violation=None,
-                scenarios_checked=0,
-            )
         # Money is held in units of 1/(scale * money_scale) and costs in
         # units of 1/scale, so money >= cost compares money to
         # money_scale * cost.
@@ -377,25 +377,14 @@ class ExhaustiveChecker:
             block = list(map(add, money, reversed(_subset_sums(firms, v))))
             if any(map(lt, block, self._needs(half, money_scale))):
                 bad = next(compress(count(half), map(lt, block, self._needs(half, money_scale))))
-                return CoreReport(
-                    verdict=VERDICT_VIOLATED,
-                    total_money=total,
-                    game_worth=self.worth,
-                    violation=Violation(
-                        scenario=mask_to_scenario(bad),
-                        money=Fraction(block[bad - half], self.scale * money_scale),
-                        cost=Fraction(self.cost_table[bad], self.scale),
-                    ),
-                    scenarios_checked=bad + 1,
+                violation = Violation(
+                    scenario=mask_to_scenario(bad),
+                    money=Fraction(block[bad - half], self.scale * money_scale),
+                    cost=Fraction(self.cost_table[bad], self.scale),
                 )
+                return violation, bad + 1
             money += block
-        return CoreReport(
-            verdict=VERDICT_IN_CORE,
-            total_money=total,
-            game_worth=self.worth,
-            violation=None,
-            scenarios_checked=1 << self.g.n,
-        )
+        return None, 1 << self.g.n
 
 
 def verify_core_exhaustive(

@@ -28,6 +28,14 @@ from .graph import WeightedGraph
 from .lp import first_uncovered_scaled, is_integral
 
 
+#: Inclusive range of the random integer weights.
+WEIGHT_LOW, WEIGHT_HIGH = 0, 10
+#: Vectors each instance's suite checks: fixed-total vectors with a
+#: starved vertex, random fixed-total vectors, and 0/1 weight vectors for
+#: the four-program chain.
+PERTURBED, RANDOM_VECTORS, CHAIN_VECTORS = 5, 5, 3
+
+
 @dataclass(frozen=True)
 class CorpusInstance:
     index: int
@@ -55,8 +63,6 @@ def build_corpus(
     seed: int,
     n_min: int = 4,
     n_max: int = 10,
-    weight_low: int = 0,
-    weight_high: int = 10,
     include_imperfect: bool = False,
 ) -> list[CorpusInstance]:
     """``count`` perfect instances, plus odd cycles when asked for."""
@@ -73,7 +79,7 @@ def build_corpus(
                 g = random_chordal(n, sub_seed)
             wrng = random.Random(rng.randrange(2**63))
             g = g.with_weights(
-                [wrng.randint(weight_low, weight_high) for _ in range(n)]
+                [wrng.randint(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(n)]
             )
             cliques = maximal_cliques(g)
             if (
@@ -86,7 +92,7 @@ def build_corpus(
     if include_imperfect:
         for j, k in enumerate((5, 7, 9)):
             g = cycle(k).with_weights(
-                [rng.randint(max(weight_low, 1), weight_high) for _ in range(k)]
+                [rng.randint(max(WEIGHT_LOW, 1), WEIGHT_HIGH) for _ in range(k)]
             )
             out.append(
                 CorpusInstance(
@@ -164,7 +170,6 @@ class InstanceReport:
     tdi_holds: bool | None
     chain_holds: bool
     gap_closed_count: int
-    chain_vectors: int
 
     @property
     def ok(self) -> bool:
@@ -175,18 +180,12 @@ class InstanceReport:
                 self.optimal_in_core is True
                 and self.perturbed_all_fail
                 and self.tdi_holds is True
-                and self.gap_closed_count == self.chain_vectors
+                and self.gap_closed_count == CHAIN_VECTORS
             )
         return True
 
 
-def run_instance_suite(
-    inst: CorpusInstance,
-    rng: random.Random,
-    perturbed: int = 5,
-    random_vectors: int = 5,
-    chain_vectors: int = 3,
-) -> InstanceReport:
+def run_instance_suite(inst: CorpusInstance, rng: random.Random) -> InstanceReport:
     """All property checks for one instance; pure given the rng state."""
     g = inst.graph
     cliques = maximal_cliques(g)
@@ -217,19 +216,19 @@ def run_instance_suite(
         optimal_in_core = None
         tdi_holds = None
 
-    for bad in infeasible_total_vectors(g, cliques, worth, rng, perturbed):
+    for bad in infeasible_total_vectors(g, cliques, worth, rng, PERTURBED):
         cert = certificate.check(bad)
         exh = checker.check(bad)
         core_agree &= cert.verdict == exh.verdict
         perturbed_all_fail &= not exh.in_core
-    for vec in random_total_vectors(cliques, worth, rng, random_vectors):
+    for vec in random_total_vectors(cliques, worth, rng, RANDOM_VECTORS):
         cert = certificate.check(vec)
         exh = checker.check(vec)
         core_agree &= cert.verdict == exh.verdict
 
     chain_holds = True
     gap_closed = 0
-    for k in range(chain_vectors):
+    for k in range(CHAIN_VECTORS):
         # All-ones first: the canonical stable-set vs clique-cover case,
         # where odd cycles visibly keep the gap open.
         w01 = [1] * g.n if k == 0 else [rng.randint(0, 1) for _ in range(g.n)]
@@ -250,42 +249,35 @@ def run_instance_suite(
         tdi_holds=tdi_holds,
         chain_holds=chain_holds,
         gap_closed_count=gap_closed,
-        chain_vectors=chain_vectors,
     )
+
+
+#: The properties :func:`summarize` tallies, in report order: the summary
+#: key, whether imperfect instances count too, and one instance's
+#: (passes, checks).
+PROPERTIES = (
+    ("coreAgreement", True, lambda r: (r.core_agree, 1)),
+    ("optimalDualInCore", False, lambda r: (r.optimal_in_core, 1)),
+    ("perturbedRejected", False, lambda r: (r.perturbed_all_fail, 1)),
+    ("dualIntegrality", False, lambda r: (r.tdi_holds, 1)),
+    ("chainInequalities", True, lambda r: (r.chain_holds, 1)),
+    ("chainGapClosed", False, lambda r: (r.gap_closed_count, CHAIN_VECTORS)),
+)
 
 
 def summarize(reports: list[InstanceReport]) -> dict:
     """Aggregate pass/fail counts; deterministic given the reports."""
-    perfect = [r for r in reports if r.expected_perfect]
-    imperfect = [r for r in reports if not r.expected_perfect]
-    return {
-        "instances": len(reports),
-        "coreAgreement": {
-            "pass": sum(1 for r in reports if r.core_agree),
-            "fail": sum(1 for r in reports if not r.core_agree),
-        },
-        "optimalDualInCore": {
-            "pass": sum(1 for r in perfect if r.optimal_in_core),
-            "fail": sum(1 for r in perfect if not r.optimal_in_core),
-        },
-        "perturbedRejected": {
-            "pass": sum(1 for r in perfect if r.perturbed_all_fail),
-            "fail": sum(1 for r in perfect if not r.perturbed_all_fail),
-        },
-        "dualIntegrality": {
-            "pass": sum(1 for r in perfect if r.tdi_holds),
-            "fail": sum(1 for r in perfect if not r.tdi_holds),
-        },
-        "chainInequalities": {
-            "pass": sum(1 for r in reports if r.chain_holds),
-            "fail": sum(1 for r in reports if not r.chain_holds),
-        },
-        "chainGapClosed": {
-            "pass": sum(r.gap_closed_count for r in perfect),
-            "fail": sum(r.chain_vectors - r.gap_closed_count for r in perfect),
-        },
-        "imperfectChainGapObserved": sum(
-            r.chain_vectors - r.gap_closed_count for r in imperfect
-        ),
-        "allOk": all(r.ok for r in reports),
-    }
+    summary: dict = {"instances": len(reports)}
+    for key, everywhere, tally in PROPERTIES:
+        passes = checks = 0
+        for r in reports:
+            if everywhere or r.expected_perfect:
+                p, c = tally(r)
+                passes += p
+                checks += c
+        summary[key] = {"pass": passes, "fail": checks - passes}
+    summary["imperfectChainGapObserved"] = sum(
+        CHAIN_VECTORS - r.gap_closed_count for r in reports if not r.expected_perfect
+    )
+    summary["allOk"] = all(r.ok for r in reports)
+    return summary

@@ -11,7 +11,6 @@ give identical graphs byte for byte.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .graph import WeightedGraph, check_vertex_count
 
@@ -50,15 +49,9 @@ def path(k: int) -> WeightedGraph:
     return WeightedGraph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def random_bipartite(
-    n: int,
-    p: float,
-    seed: int,
-    unit_weights: bool = True,
-    weight_range: tuple[int, int] = (0, 10),
-) -> WeightedGraph:
-    """Random bipartite graph: random side assignment, each cross pair an
-    edge with probability p.  Deterministic given the seed."""
+def random_bipartite(n: int, p: float, seed: int) -> WeightedGraph:
+    """Random bipartite graph with unit costs: random side assignment, each
+    cross pair an edge with probability p.  Deterministic given the seed."""
     if n < 1:
         raise ValueError("random_bipartite needs n >= 1")
     if not (0.0 <= p <= 1.0):
@@ -71,17 +64,12 @@ def random_bipartite(
         for v in range(u + 1, n)
         if side[u] != side[v] and rng.random() < p
     ]
-    weights = _draw_weights(rng, n, unit_weights, weight_range)
-    return WeightedGraph.from_edges(n, edges, weights)
+    return WeightedGraph.from_edges(n, edges)
 
 
-def random_chordal(
-    n: int,
-    seed: int,
-    unit_weights: bool = True,
-    weight_range: tuple[int, int] = (0, 10),
-) -> WeightedGraph:
-    """Random chordal graph grown along a perfect elimination ordering.
+def random_chordal(n: int, seed: int) -> WeightedGraph:
+    """Random chordal graph with unit costs, grown along a perfect
+    elimination ordering.
 
     Vertices are added in random order; each new vertex attaches to a
     random subset of {anchor} + anchor's earlier neighbors, which is a
@@ -106,15 +94,7 @@ def random_chordal(
             earlier[v] = chosen
             edges.extend((v, u) for u in sorted(chosen))
         placed.append(v)
-    weights = _draw_weights(rng, n, unit_weights, weight_range)
-    return WeightedGraph.from_edges(n, edges, weights)
-
-
-def _draw_weights(rng, n, unit_weights, weight_range):
-    if unit_weights:
-        return [Fraction(1)] * n
-    lo, hi = weight_range
-    return [Fraction(rng.randint(lo, hi)) for _ in range(n)]
+    return WeightedGraph.from_edges(n, edges)
 
 
 #: Families accepted by :func:`from_spec`; random ones require a seed.

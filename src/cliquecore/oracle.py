@@ -5,6 +5,10 @@ consults the simplex code, so agreement between the two routes (tested
 throughout the suite) is meaningful evidence rather than circularity.
 In particular the integral clique-cover search never uses the fractional
 optimum as a bound: a solver bug must not be able to mask itself.
+
+One stable-set search answers both the maximum-weight stable set and the
+cost of any scenario, the latter on the graph itself with its candidates
+limited to the scenario.
 """
 
 from __future__ import annotations
@@ -16,14 +20,12 @@ from typing import Iterable, Sequence
 from . import lp
 from .cliques import CliqueSet, maximal_cliques
 from .errors import GuardError
-from .graph import WeightedGraph, induced_subgraph, make_scenario
+from .graph import WeightedGraph, make_scenario, mask_to_scenario, scenario_mask
 
 MAX_STABLE_SET_N = 30
 MAX_COVER_N = 20
 MAX_CHAIN_N = 16
 MAX_COST_TABLE_N = 22
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -66,78 +68,66 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
     """Maximum-cost stable set by branch and bound, exact.
 
     Ties are broken toward the lexicographically smallest member list, so
-    the result is reproducible byte for byte.  The bound is the sum of the
-    remaining candidates' weights (admissible).  The search runs on the
-    weights scaled to ints by their common denominator
-    (``WeightedGraph.scaled_weights``).
+    the result is reproducible byte for byte.  See :func:`_best_stable_set`.
     """
-    check_stable_set_size(g.n)
-    if g.n == 0:
-        return StableSetResult(members=(), total_cost=ZERO)
-    adj = g.adj
-    scale, w = g.scaled_weights
-
-    def weight_of(mask: int) -> int:
-        total = 0
-        v = 0
-        while mask:
-            if mask & 1:
-                total += w[v]
-            mask >>= 1
-            v += 1
-        return total
-
-    # Pass 1: the optimal cost, with aggressive pruning.
-    best = 0
-
-    def search(cur: int, cand: int):
-        nonlocal best
-        if cur > best:
-            best = cur
-        if cand == 0:
-            return
-        if cur + weight_of(cand) <= best:
-            return
-        v = (cand & -cand).bit_length() - 1
-        search(cur + w[v], cand & ~adj[v] & ~(1 << v))
-        search(cur, cand & ~(1 << v))
-
-    search(0, (1 << g.n) - 1)
-    target = best
-
-    # Pass 2: first set of cost `target` in lexicographic member order.
-    def lex(cur_cost: int, members: list[int], cand: int):
-        if cur_cost == target:
-            return tuple(members)
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            bit = 1 << v
-            rest &= ~bit
-            nxt = cand & ~adj[v] & ~(bit | (bit - 1))
-            if cur_cost + w[v] + weight_of(nxt) < target:
-                continue
-            members.append(v)
-            hit = lex(cur_cost + w[v], members, nxt)
-            if hit is not None:
-                return hit
-            members.pop()
-        return None
-
-    members = lex(0, [], (1 << g.n) - 1)
-    if members is None:  # target was produced by pass 1, so this cannot miss
-        raise RuntimeError("stable-set tie-break pass failed to reach the optimum")
-    return StableSetResult(members=members, total_cost=Fraction(target, scale))
+    best, members = _best_stable_set(g, (1 << g.n) - 1)
+    return StableSetResult(
+        members=mask_to_scenario(members), total_cost=Fraction(best, g.scaled_weights[0])
+    )
 
 
 def cost(g: WeightedGraph, scenario: Iterable[int]) -> Fraction:
     """Cost of the optimal investment in a scenario: the maximum total
-    weight of a stable set inside the induced subgraph.  cost(empty) = 0."""
+    weight of a stable set inside the induced subgraph.  cost(empty) = 0.
+
+    The search runs on g itself with its candidates limited to the
+    scenario, so no subgraph is built; the size guard applies to the
+    scenario, not to g.
+    """
     s = make_scenario(scenario, g.n)
-    if not s:
-        return ZERO
-    sub, _ = induced_subgraph(g, s)
-    return max_weight_stable_set(sub).total_cost
+    return Fraction(_best_stable_set(g, scenario_mask(s))[0], g.scaled_weights[0])
+
+
+def _best_stable_set(g: WeightedGraph, within: int) -> tuple[int, int]:
+    """The best stable set of g inside the vertex mask ``within``: its
+    weight scaled by the weights' common denominator
+    (``WeightedGraph.scaled_weights``) and its member mask.
+
+    One depth-first search.  It branches on the lowest candidate, taking
+    it before skipping it, so it visits the stable sets in lexicographic
+    order of their sorted members, and a set is recorded only when it
+    strictly beats the best so far: the first optimum reached, the
+    lexicographically smallest, is the one returned.  The bound is the
+    sum of the remaining candidates' weights (admissible); it prunes only
+    subtrees that cannot beat the best so far, which the subtree of the
+    first optimum always can until it is reached.
+    """
+    check_stable_set_size(within.bit_count())
+    adj = g.adj
+    w = g.scaled_weights[1]
+    best = best_members = 0
+
+    def weight_of(mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += w[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    def search(cur: int, members: int, cand: int):
+        nonlocal best, best_members
+        if cur > best:
+            best, best_members = cur, members
+        if cand == 0 or cur + weight_of(cand) <= best:
+            return
+        low = cand & -cand
+        v = low.bit_length() - 1
+        search(cur + w[v], members | low, cand & ~adj[v] & ~low)
+        search(cur, members, cand ^ low)
+
+    search(0, 0, within)
+    return best, best_members
 
 
 def subset_cost_table(g: WeightedGraph) -> list[int]:
@@ -229,7 +219,6 @@ def min_integral_clique_cover_value(
 
     # Greedy initial cover: always a valid upper bound.
     deficit = demand[:]
-    counts = [0] * len(cs)
     greedy_total = 0
     while True:
         open_mask = 0
@@ -239,7 +228,6 @@ def min_integral_clique_cover_value(
         if open_mask == 0:
             break
         cid = max(range(len(cs)), key=lambda c: ((masks[c] & open_mask).bit_count(), -c))
-        counts[cid] += 1
         greedy_total += 1
         for v in cs.cliques[cid]:
             if deficit[v] > 0:

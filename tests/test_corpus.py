@@ -83,17 +83,19 @@ def test_scaled_to_total_is_exact():
 def test_suite_computes_the_worth_at_most_twice(monkeypatch):
     # Once per verifier (the exhaustive and the certificate checker), not
     # once per check; the optimal dual's worth comes from its own LP proof.
+    # The worth is the cost of the whole-graph scenario.
     inst = build_corpus(1, seed=6)[0]
     g = inst.graph
-    real = oracle.max_weight_stable_set
+    real = oracle.cost
     whole = []
 
-    def counting(h):
-        if (h.n, h.edges, h.weights) == (g.n, g.edges, g.weights):
+    def counting(h, scenario):
+        scenario = set(scenario)
+        if h == g and scenario == set(range(g.n)):
             whole.append(h)
-        return real(h)
+        return real(h, scenario)
 
-    monkeypatch.setattr(oracle, "max_weight_stable_set", counting)
+    monkeypatch.setattr(oracle, "cost", counting)
     report = run_instance_suite(inst, random.Random(0))
     assert report.ok
     assert 1 <= len(whole) <= 2

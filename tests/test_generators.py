@@ -82,10 +82,6 @@ class TestRandomFamilies:
     def test_chordal_has_no_long_induced_cycle(self, seed):
         assert bf.is_chordal(random_chordal(9, seed=seed))
 
-    def test_nonunit_weights_stay_in_range(self):
-        g = random_chordal(8, seed=2, unit_weights=False, weight_range=(0, 10))
-        assert all(0 <= w <= 10 and w.denominator == 1 for w in g.weights)
-
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             random_bipartite(4, 1.5, seed=1)

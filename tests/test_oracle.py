@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecore import (
     GuardError,
@@ -14,7 +15,7 @@ from cliquecore import (
     paley3x3,
     subset_cost_table,
 )
-from cliquecore.graph import scenario_mask, to_int_scale
+from cliquecore.graph import induced_subgraph, mask_to_scenario, scenario_mask, to_int_scale
 
 import _bruteforce as bf
 from conftest import fractional_graphs, graphs, random_graph
@@ -99,6 +100,22 @@ class TestCost:
             extras = [v for v in range(g.n) if v not in small]
             for add in itertools.combinations(extras, min(1, len(extras))):
                 assert cost(g, small) <= cost(g, small + add)
+
+    def test_scenario_inside_a_graph_above_the_guard(self):
+        # The guard counts the scenario's vertices, not the graph's.
+        g = random_graph(40, seed=31)
+        s = [0, 3, 7, 12, 18, 25, 33, 39]
+        assert cost(g, s) == bf.max_stable_value(induced_subgraph(g, s)[0])
+        with pytest.raises(GuardError, match=r"^stable-set search capped at n <= 30$"):
+            cost(g, range(31))
+
+    @given(st.one_of(fractional_graphs(), graphs(max_weight=1)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_search_on_induced_subgraph(self, g, data):
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+        s = mask_to_scenario(mask)
+        sub, _ = induced_subgraph(g, s)
+        assert cost(g, s) == max_weight_stable_set(sub).total_cost
 
     def test_matches_subset_table(self):
         g = random_graph(7, seed=19)

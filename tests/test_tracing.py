@@ -60,3 +60,12 @@ def test_corpus_computes_each_worth_and_clique_list_once_per_checker(capsys):
     names = [span[0] for span in tracer.spans]
     assert names.count("core.game_worth") == 4
     assert names.count("cliques.maximal_cliques") == 4
+
+
+def test_corpus_builds_no_induced_subgraph(capsys):
+    # Scenario costs and worths are searched on the graph itself, with
+    # the candidates limited to the scenario.
+    with tracing.Tracer() as tracer:
+        assert main(["corpus", "--count", "2", "--n", "6", "--seed", "1", "--json"]) == 0
+    assert tracing.leftover_wrappers() == []
+    assert "graph.induced_subgraph" not in [span[0] for span in tracer.spans]
