@@ -19,11 +19,10 @@ property the test suite exercises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, islice, repeat
-from operator import add, lt, mul
 from typing import Iterable, Mapping
 
 from . import oracle
@@ -274,26 +273,79 @@ def verify_core_certificate(
     return CertificateChecker(g, cliques).check(imputation)
 
 
-def _subset_sums(amounts: Mapping[int, int], bits: int) -> list[int]:
-    """Subset-sum (zeta) transform: entry M is the sum of ``amounts[m]``
-    over every ``m`` contained in M, for each M below ``2^bits``.
+#: Largest packed int the exhaustive check works on at once, in bytes;
+#: longer blocks of scenarios are cut into chunks of this size or less.
+CHUNK_BYTES = 1 << 18
 
-    Splits on the top bit, so a sparse input costs list copies where a
-    dense one costs the bits * 2^bits additions of the standard transform
-    (Yates 1937; Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets
-    Mobius", STOC 2007).
-    """
-    if not amounts:
-        return [0] * (1 << bits)
-    if bits == 0:
-        return [amounts[0]]
-    top = 1 << (bits - 1)
-    without = {m: a for m, a in amounts.items() if not m & top}
-    with_top = {m ^ top: a for m, a in amounts.items() if m & top}
-    lower = _subset_sums(without, bits - 1)
-    if not with_top:
-        return lower + lower
-    return lower + list(map(add, lower, _subset_sums(with_top, bits - 1)))
+
+def _field_bytes(bound: int) -> int:
+    """Bytes per packed field holding values up to ``bound``: one guard
+    bit above the value's bits, rounded up to whole bytes."""
+    return bound.bit_length() // 8 + 1
+
+
+def _chunk_fields(width: int, fields: int) -> int:
+    """Fields per chunk of ``fields`` packed fields (a power of two) of
+    ``width`` bytes: all of them, or the largest power of two whose
+    fields fit in :data:`CHUNK_BYTES`."""
+    return min(fields, 1 << max(0, (CHUNK_BYTES // width).bit_length() - 1))
+
+
+def _ones(width: int, count: int) -> int:
+    """``count`` packed fields of ``width`` bytes, each holding 1."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+
+
+def _fields(count: int, avoid: int, unit: bytes) -> bytes:
+    """``count`` packed fields (a power of two) as little-endian bytes:
+    field i holds ``unit`` when ``i & avoid == 0`` and zero otherwise."""
+    out = unit
+    bit = 1
+    while bit < count:
+        out += bytes(len(out)) if avoid & bit else out
+        bit <<= 1
+    return out
+
+
+def _widen(packed: int, count: int, width: int, wider: int) -> int:
+    """``count`` packed fields of ``width`` bytes moved into fields of
+    ``wider`` bytes."""
+    if width == wider:
+        return packed
+    narrow = packed.to_bytes(count * width, "little")
+    out = bytearray(count * wider)
+    for byte in range(width):
+        out[byte::wider] = narrow[byte::width]
+    return int.from_bytes(out, "little")
+
+
+class _Packed:
+    """A growing array of packed fields, ``width`` bytes each, held as
+    ints of ``chunk`` fields (a power of two) apiece.  It grows by as many
+    fields as it holds, or by one chunk once it holds a chunk or more, so
+    every aligned run of up to ``chunk`` fields lies in one int."""
+
+    def __init__(self, width: int, chunk: int):
+        self.width = width
+        self.bits = 8 * width
+        self.chunk = chunk
+        self.ints = [0]
+        self.size = 1
+
+    def get(self, first: int, count: int) -> int:
+        """Fields ``[first, first + count)``, an aligned run."""
+        run = self.ints[first // self.chunk] >> first % self.chunk * self.bits
+        if run.bit_length() > count * self.bits:
+            run &= (1 << count * self.bits) - 1
+        return run
+
+    def append(self, run: int, count: int) -> None:
+        """Add ``count`` fields: as many as it holds, or one chunk."""
+        if self.size < self.chunk:
+            self.ints[0] |= run << self.size * self.bits
+        else:
+            self.ints.append(run)
+        self.size += count
 
 
 class ExhaustiveChecker:
@@ -304,23 +356,33 @@ class ExhaustiveChecker:
     ``check`` leaves the length and totality checks to :func:`_verdict`;
     the scan works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
     ints: costs scaled by the weights' common denominator ``scale``
-    (``WeightedGraph.scaled_weights``), money by the imputation's as well
-    (``Imputation.scaled``).  For T below 2^v, money(T + {v}) is money(T)
-    plus the money of the firms at v that miss T, which one subset-sum
-    transform over the v lower bits gives for every T at once.
+    (``WeightedGraph.scaled_weights``), money by the least common multiple
+    of ``scale`` and the imputation's denominator (``Imputation.scaled``).
+    For T below 2^v, money(T + {v}) is money(T) plus the money of the
+    firms at v that miss T.
 
-    The subset cost table (see ``oracle.subset_cost_table``) starts as
-    ``[0]`` and grows by one block (``oracle.extend_cost_table``) the first
-    time any check reaches that block; later checks on the same checker
-    reuse it.  Each block is compared with its costs before the next is
-    built, so a violation in an early scenario costs only the blocks below
-    it, and a full scan about n * 2^n int additions plus the table.
+    Costs and money are packed side by side in wide ints, one fixed-width,
+    byte-aligned field per scenario, each with a guard bit above its value
+    ("SIMD within a register": Lamport, CACM 1975; Knuth, TAOCP 4A 7.1.3).
+    No cost or money of a scan exceeds the scaled worth, which fixes the
+    widths, so a block takes a fixed number of whole-int operations:
+    masked shifts, one subtraction to compare every field at once.  Blocks
+    longer than :data:`CHUNK_BYTES` are cut into chunks.  Before anything
+    is allocated, a check whose table and money fields would take more
+    than ``oracle.MAX_EXHAUSTIVE_BYTES`` raises GuardError.
+
+    The subset cost table (see ``oracle.subset_cost_table``; entries read
+    by :meth:`scaled_cost`) starts with the empty set's 0 and grows by one
+    block the first time any check reaches that block; later checks on the
+    same checker reuse it.  Each block is compared with its costs before
+    the next is built, so a violation in an early scenario costs only the
+    blocks below it.
 
     The worth comes from its own branch and bound (:func:`game_worth`), as
     in :class:`CertificateChecker`.  The table's last entry is the same
     number, so the check that completes the table compares the two and
-    raises RuntimeError if they differ: every in-core verdict is
-    cross-checked against the definition.
+    raises RuntimeError if they differ, as it does for any entry above the
+    worth: every in-core verdict is cross-checked against the definition.
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
@@ -332,59 +394,142 @@ class ExhaustiveChecker:
         self.cliques = cliques
         self.scale = g.scaled_weights[0]
         self.worth = game_worth(g)
-        self.cost_table = [0]
+        self.scaled_worth = math.ceil(self.worth * self.scale)
+        width = _field_bytes(self.scaled_worth)
+        self._table = _Packed(width, _chunk_fields(width, 1 << g.n))
+
+    @property
+    def table_entries(self) -> int:
+        """How many cost-table entries are built: a power of two."""
+        return self._table.size
+
+    def scaled_cost(self, mask: int) -> int:
+        """Cost-table entry of the scenario ``mask``: ``scale`` times its
+        cost.  Only built entries can be read."""
+        return self._table.get(mask, 1)
+
+    def _worth_error(self, entry: int, exact: bool) -> RuntimeError:
+        """The table's worth, its last entry, is ``entry`` (or at least
+        ``entry`` when not ``exact``) and differs from the worth."""
+        return RuntimeError(
+            f"cost table worth {'' if exact else 'at least '}"
+            f"{fraction_str(Fraction(entry, self.scale))}"
+            f" != branch-and-bound worth {fraction_str(self.worth)}"
+        )
 
     def _extend_cost_table(self) -> None:
-        oracle.extend_cost_table(self.g, self.cost_table)
-        if len(self.cost_table) == 1 << self.g.n:
-            table_worth = Fraction(self.cost_table[-1], self.scale)
-            if table_worth != self.worth:
-                raise RuntimeError(
-                    f"cost table worth {fraction_str(table_worth)} != branch-and-bound"
-                    f" worth {fraction_str(self.worth)}"
-                )
-
-    def _needs(self, half: int, money_scale: int) -> Iterable[int]:
-        """``money_scale`` times each scaled cost of block ``[half, 2 * half)``."""
-        need = islice(self.cost_table, half, 2 * half)
-        return need if money_scale == 1 else map(mul, need, repeat(money_scale))
+        """Build block ``[2^v, 2^(v+1))`` of the cost table: each set there
+        skips v or takes v and drops v's neighbours."""
+        g, table = self.g, self._table
+        half = table.size
+        v = half.bit_length() - 1
+        wv = g.scaled_weights[1][v]
+        if wv > self.scaled_worth:
+            raise self._worth_error(wv, False)
+        width, bits = table.width, table.bits
+        step = min(half, table.chunk)
+        keep = ~g.adj[v] & (half - 1)
+        ones = _ones(width, step)
+        guard = ones << bits - 1
+        add = ones * wv
+        # "take v" reads entry t & keep: the high bits of t pick the source
+        # run, and each neighbour b within a run copies the fields whose
+        # index has bit b clear into the fields 2^b above them.
+        drops = [
+            (bits << b, int.from_bytes(_fields(step, 1 << b, b"\xff" * width), "little"))
+            for b in range(step.bit_length() - 1)
+            if not keep >> b & 1
+        ]
+        for start in range(0, half, step):
+            skip = table.get(start, step)
+            source = start & keep
+            take = skip if source == start else table.get(source, step)
+            for shift, clear in drops:
+                low = take & clear
+                take = low | low << shift
+            take += add
+            if take & guard:
+                raise self._worth_error(1 << bits - 1, False)
+            # max(skip, take): the guard bit survives (skip | guard) - take
+            # exactly in the fields where skip >= take.
+            ge = ((skip | guard) - take) & guard
+            table.append(take ^ ((take ^ skip) & (ge - (ge >> bits - 1))), step)
+        top = table.get(2 * half - 1, 1)  # the largest entry: cost is monotone
+        full = 2 * half == 1 << g.n
+        if top > self.scaled_worth or (full and top != self.scaled_worth):
+            raise self._worth_error(top, full)
 
     def check(self, imputation: Imputation) -> CoreReport:
         return _verdict(self, imputation)
 
     def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
+        n = self.g.n
         money_scale, amounts = imputation.scaled
-        # Money is held in units of 1/(scale * money_scale) and costs in
-        # units of 1/scale, so money >= cost compares money to
-        # money_scale * cost.
+        # Money is held in units of 1/unit, unit = lcm(scale, money_scale),
+        # and costs in units of 1/scale, so money >= cost compares money to
+        # (unit / scale) * cost.  The total is the worth, so no money or
+        # need exceeds that multiple of the scaled worth.
+        common = math.gcd(self.scale, money_scale)
+        need_scale = money_scale // common
+        unit = self.scale * need_scale
+        width = _field_bytes(need_scale * self.scaled_worth)
+        table_width = self._table.width
+        needed = (table_width << n) + (width << n >> 1)
+        if needed > oracle.MAX_EXHAUSTIVE_BYTES:
+            raise GuardError(
+                f"exhaustive scenario check needs {needed} bytes,"
+                f" capped at {oracle.MAX_EXHAUSTIVE_BYTES}"
+            )
+        firm_scale = self.scale // common
         live = [
-            (cmask, a * self.scale)
+            (cmask, a * firm_scale)
             for cmask, a in zip(self.cliques.masks, amounts)
             if a
         ]
-        money = [0]  # of every scenario below 2^v
-        for v in range(self.g.n):
+        money = _Packed(width, _chunk_fields(width, 1 << n))  # of every scenario below 2^v
+        bits = money.bits
+        for v in range(n):
             half = 1 << v
-            if len(self.cost_table) == half:
+            if self._table.size == half:
                 self._extend_cost_table()
             firms: dict[int, int] = {}
             for cmask, a in live:
                 if cmask >> v & 1:
                     low = cmask & (half - 1)
                     firms[low] = firms.get(low, 0) + a
-            # The firms at v that miss T are those whose lower part fits in
-            # the complement of T, the mirror image of T in the block.
-            block = list(map(add, money, reversed(_subset_sums(firms, v))))
-            if any(map(lt, block, self._needs(half, money_scale))):
-                bad = next(compress(count(half), map(lt, block, self._needs(half, money_scale))))
-                violation = Violation(
-                    scenario=mask_to_scenario(bad),
-                    money=Fraction(block[bad - half], self.scale * money_scale),
-                    cost=Fraction(self.cost_table[bad], self.scale),
-                )
-                return violation, bad + 1
-            money += block
-        return None, 1 << self.g.n
+            step = min(half, money.chunk)
+            guard = _ones(width, step) << bits - 1
+            # The firms at v that miss T, for T in a run: the high bits of
+            # their vertices below v miss the run's start, the low bits are
+            # a fixed pattern within the run.
+            patterns: dict[tuple[int, int], int] = {}
+            for start in range(0, half, step):
+                block = money.get(start, step)
+                for low, a in firms.items():
+                    if not low & start:
+                        key = (low & (step - 1), a)
+                        if key not in patterns:
+                            patterns[key] = int.from_bytes(
+                                _fields(step, key[0], a.to_bytes(width, "little")), "little"
+                            )
+                        block += patterns[key]
+                need = _widen(self._table.get(half + start, step), step, table_width, width)
+                if need_scale != 1:
+                    need *= need_scale
+                # The guard bit of a field is cleared where money < need.
+                short = ((block | guard) - need) & guard ^ guard
+                if short:
+                    i = ((short & -short).bit_length() - 1) // bits
+                    bad = half + start + i
+                    violation = Violation(
+                        scenario=mask_to_scenario(bad),
+                        money=Fraction(block >> i * bits & ~(-1 << bits), unit),
+                        cost=Fraction(self.scaled_cost(bad), self.scale),
+                    )
+                    return violation, bad + 1
+                if v < n - 1:
+                    money.append(block, step)
+        return None, 1 << n
 
 
 def verify_core_exhaustive(

@@ -26,6 +26,9 @@ MAX_STABLE_SET_N = 30
 MAX_COVER_N = 20
 MAX_CHAIN_N = 16
 MAX_COST_TABLE_N = 22
+#: Bytes the exhaustive core check may hold for its packed cost table and
+#: scenario money (see ``core.ExhaustiveChecker``).
+MAX_EXHAUSTIVE_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -135,34 +138,23 @@ def subset_cost_table(g: WeightedGraph) -> list[int]:
 
     Entry ``mask`` is the int ``D * cost(S)``, where D is the common
     denominator of the weights (``g.scaled_weights[0]``, 1 for integer
-    weights), so ``Fraction(table[mask], D) == cost(g, S)``.  Built by n
-    steps of :func:`extend_cost_table` from ``[0]``.
+    weights), so ``Fraction(table[mask], D) == cost(g, S)``.
+
+    Built one block ``[2^v, 2^(v+1))`` at a time, the sets whose highest
+    vertex is v.  Such a set either skips v or takes v and drops v's
+    neighbours, and both of those sets lie in the part already built, so
+    each block is one pass over it.
     """
     if g.n > MAX_COST_TABLE_N:
         raise GuardError(f"subset cost table capped at n <= {MAX_COST_TABLE_N}")
     table = [0]
-    for _ in range(g.n):
-        extend_cost_table(g, table)
+    for v, wv in enumerate(g.scaled_weights[1]):
+        keep = ~g.adj[v] & ((1 << v) - 1)
+        table += [
+            skip if skip > (take := wv + table[t & keep]) else take
+            for t, skip in enumerate(table)
+        ]
     return table
-
-
-def extend_cost_table(g: WeightedGraph, table: list[int]) -> None:
-    """Append the next block of :func:`subset_cost_table` in place.
-
-    ``table`` holds the entries of every set below 2^v; this appends block
-    ``[2^v, 2^(v+1))``, the sets whose highest vertex is v.  Such a set
-    either skips v or takes v and drops v's neighbours, and both of those
-    sets lie in the part already built, so the block is one pass over it.
-    The exhaustive core checker grows its table this way, a block at a
-    time as its scan first reaches it.
-    """
-    v = len(table).bit_length() - 1
-    keep = ~g.adj[v] & ((1 << v) - 1)
-    wv = g.scaled_weights[1][v]
-    table += [
-        skip if skip > (take := wv + table[t & keep]) else take
-        for t, skip in enumerate(table)
-    ]
 
 
 def min_integral_clique_cover_value(

@@ -1,13 +1,26 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cliquecore
-from cliquecore import WeightedGraph, paley3x3, serialize_graph
+from cliquecore import (
+    WeightedGraph,
+    compute_core_imputation,
+    fraction_str,
+    from_spec,
+    game_worth,
+    maximal_cliques,
+    paley3x3,
+    random_bipartite,
+    serialize_graph,
+)
 from cliquecore.cli import main
 from cliquecore.graph import DEFAULT_MAX_N
 
@@ -127,6 +140,43 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", paley_file, imp, "--exhaustive")
         assert code == 0
         assert "in-core" in out
+
+
+class TestExhaustiveMemoryGuard:
+    """The exhaustive check bounds the bytes of its packed table and
+    money, not n alone."""
+
+    def test_wide_n22_refused_before_allocating(self, capsys, tmp_path):
+        # Weights of 2,000 digits over a 2,000-digit denominator: 2^22
+        # fields of over 800 bytes each would take gigabytes.
+        rng = random.Random(22)
+        denominator = 7**2367
+        g = random_bipartite(22, 0.5, 1).with_weights(
+            [Fraction(rng.randrange(denominator), denominator) for _ in range(22)]
+        )
+        graph = tmp_path / "wide.graph"
+        graph.write_text(serialize_graph(g))
+        imp = tmp_path / "imp.json"
+        imp.write_text(json.dumps({maximal_cliques(g).key(0): fraction_str(game_worth(g))}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", str(graph), str(imp), "--exhaustive")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err.startswith("guard: exhaustive scenario check needs ")
+        assert err.count("\n") == 1
+        assert elapsed < 1
+
+    def test_unit_chordal22_accepted(self, capsys, tmp_path):
+        g = from_spec("chordal:22", seed=7)
+        cliques = maximal_cliques(g)
+        imp = tmp_path / "imp.json"
+        imp.write_text(json.dumps(compute_core_imputation(g, cliques).to_json_dict(cliques)))
+        code, out, _ = run(
+            capsys, "verify", "--generate", "chordal:22", "--seed", "7", str(imp), "--exhaustive"
+        )
+        assert code == 0
+        assert "verdict: in-core" in out
+        assert f"scenarios checked: {1 << 22}" in out
 
 
 class TestCheckPerfect:

@@ -1,11 +1,16 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliquecore
 from cliquecore import (
     CertificateChecker,
     CoreReport,
@@ -19,17 +24,18 @@ from cliquecore import (
     compute_core_imputation,
     cost,
     cycle,
+    find_odd_hole,
     game_worth,
     lift_dual,
     max_weight_stable_set,
     maximal_cliques,
     money,
-    oracle,
     paley3x3,
     random_bipartite,
     random_chordal,
     restrict_dual,
     solve_dual,
+    solve_game,
     solve_primal,
     subset_cost_table,
     verify_core_certificate,
@@ -291,21 +297,152 @@ class TestExhaustiveAgainstReference:
             assert ours.in_core
             assert ours == reference_exhaustive(g, cs, imp, costs)
 
+    def test_wide_fields_blocks_span_chunks(self):
+        # Weights over a common denominator above 2^1000: every packed
+        # field is over a hundred bytes, so the top block of the cost table
+        # is longer than one chunk.
+        rng = random.Random(1000)
+        verdicts = []
+        for n, seed in ((12, 3), (13, 5)):
+            g = random_bipartite(n, 0.5, seed).with_weights(
+                [F(rng.randint(1, 10**6), rng.getrandbits(100) | 1) for _ in range(n)]
+            )
+            assert g.scaled_weights[0] > 2**1000
+            cs = maximal_cliques(g)
+            costs = [cost(g, mask_to_scenario(m)) for m in range(1 << n)]
+            worth = costs[-1]
+            checker = ExhaustiveChecker(g, cs)
+            top_block = core_module._field_bytes(checker.scaled_worth) << (n - 1)
+            assert top_block > core_module.CHUNK_BYTES
+            raw = [rng.randint(0, 9) for _ in cs.cliques]
+            raw[0] += 1
+            vectors = [
+                compute_core_imputation(g, cs),
+                Imputation(values=tuple(scaled_to_total(raw, worth))),
+                Imputation(values=(worth + F(1, 7),) + (F(0),) * (len(cs) - 1)),
+            ]
+            for imp in vectors:
+                ours = checker.check(imp)
+                assert ours == reference_exhaustive(g, cs, imp, costs), (n, imp)
+                verdicts.append(ours.verdict)
+            assert checker.table_entries == 1 << n
+        assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
+
+    def test_blocks_cut_into_small_chunks(self, monkeypatch):
+        # 16-byte chunks cut every block above a few scenarios, so the
+        # chunked paths (a take read from another chunk, a firm whose
+        # vertices reach above the chunk) run on small graphs.
+        monkeypatch.setattr(core_module, "CHUNK_BYTES", 16)
+        rng = random.Random(1616)
+        verdicts = []
+        for trial in range(30):
+            n = rng.randint(5, 10)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+            ]
+            weights = [F(rng.randint(0, 40), rng.choice((1, 1, 3, 8))) for _ in range(n)]
+            g = WeightedGraph.from_edges(n, edges, weights)
+            cs = maximal_cliques(g)
+            costs = [cost(g, mask_to_scenario(m)) for m in range(1 << n)]
+            worth = costs[-1]
+            vectors = []
+            try:
+                vectors.append(compute_core_imputation(g, cs))
+            except DualGapError:
+                pass
+            for den in (1, 1, 11):
+                raw = [F(rng.randint(0, 9), den) for _ in cs.cliques]
+                raw[rng.randrange(len(raw))] += 1
+                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+            vectors += infeasible_total_vectors(g, cs, worth, rng, 1)
+            vectors.append(Imputation(values=(worth + 1,) + (F(0),) * (len(cs) - 1)))
+            checker = ExhaustiveChecker(g, cs)
+            for imp in vectors:
+                ours = checker.check(imp)
+                assert ours == reference_exhaustive(g, cs, imp, costs), (trial, imp)
+                verdicts.append(ours.verdict)
+            while checker.table_entries < 1 << n:
+                checker._extend_cost_table()
+            table = [checker.scaled_cost(mask) for mask in range(1 << n)]
+            assert table == subset_cost_table(g), trial
+        assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
+
+    def test_one_checker_across_field_widths(self, paley_setup):
+        # An integer vector, then an in-core one over 7^40 (wider money
+        # fields), then the integer vector again, on one checker.
+        g, cs = paley_setup
+        costs = [cost(g, mask_to_scenario(m)) for m in range(1 << g.n)]
+        rows = Imputation.from_mapping(cs, ROWS)
+        t = F(1, 7**40)
+        mixed = Imputation(
+            values=tuple(
+                (1 - t) * r + t * c
+                for r, c in zip(rows.values, Imputation.from_mapping(cs, COLUMNS).values)
+            )
+        )
+        lopsided = Imputation.from_mapping(cs, {"0-1-2": 3 - t, "0-3-6": t})
+        checker = ExhaustiveChecker(g, cs)
+        assert core_module._field_bytes(mixed.scaled[0] * checker.scaled_worth) > (
+            core_module._field_bytes(checker.scaled_worth)
+        )
+        reports = []
+        for imp in (rows, mixed, lopsided, rows):
+            ours = checker.check(imp)
+            assert ours == reference_exhaustive(g, cs, imp, costs)
+            reports.append(ours)
+        assert [r.verdict for r in reports] == ["in-core", "in-core", "violated", "in-core"]
+        assert reports[0] == reports[-1]
+
+
+#: The exhaustive check at its n <= 22 guard on six-digit fractional
+#: weights, run in a child that reports its own peak RSS.
+WIDE_N22 = """
+import json, random, resource, time
+from fractions import Fraction
+from cliquecore import (
+    WeightedGraph, compute_core_imputation, maximal_cliques, verify_core_exhaustive,
+)
+rng = random.Random(3)
+n = 22
+side = [rng.randrange(2) for _ in range(n)]
+edges = [
+    (u, v) for u in range(n) for v in range(u + 1, n)
+    if side[u] != side[v] and rng.random() < 0.5
+]
+weights = [Fraction(rng.randint(1, 999999), rng.randint(1, 999999)) for _ in range(n)]
+g = WeightedGraph.from_edges(n, edges, weights)
+cliques = maximal_cliques(g)
+imputation = compute_core_imputation(g, cliques)
+start = time.perf_counter()
+report = verify_core_exhaustive(g, cliques, imputation)
+print(json.dumps({
+    "verdict": report.verdict,
+    "scenariosChecked": report.scenarios_checked,
+    "seconds": time.perf_counter() - start,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+@pytest.mark.slow
+def test_wide_n22_in_core_within_memory():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cliquecore.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", WIDE_N22], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    print(result)
+    assert result["verdict"] == "in-core"
+    assert result["scenariosChecked"] == 1 << 22
+    assert result["maxrss_mb"] < 500
+
 
 class TestLazyCostTable:
     """The exhaustive checker builds cost-table blocks only as its scan
     reaches them, and the full table cross-checks the worth."""
 
-    def test_starved_vector_builds_only_the_blocks_it_reads(self, monkeypatch):
-        real = oracle.extend_cost_table
-        entries = []
-
-        def counting(g, table):
-            before = len(table)
-            real(g, table)
-            entries.append(len(table) - before)
-
-        monkeypatch.setattr(oracle, "extend_cost_table", counting)
+    def test_starved_vector_builds_only_the_blocks_it_reads(self):
         rng = random.Random(12)
         checked = 0
         for inst in build_corpus(8, seed=41, n_min=8, n_max=12):
@@ -314,15 +451,15 @@ class TestLazyCostTable:
             worth = game_worth(g)
             for bad in infeasible_total_vectors(g, cs, worth, rng, 3):
                 checker = ExhaustiveChecker(g, cs)
-                entries.clear()
                 report = checker.check(bad)
                 assert report.verdict == "violated"
                 block = max(report.violation.scenario)
-                assert 1 + sum(entries) == len(checker.cost_table) <= 2 ** (block + 1)
+                assert checker.table_entries == 2 ** (block + 1)
                 checked += 1
             assert checker.check(compute_core_imputation(g, cs)).in_core
-            assert len(checker.cost_table) == 1 << g.n
-            assert checker.cost_table == subset_cost_table(g)
+            assert checker.table_entries == 1 << g.n
+            table = [checker.scaled_cost(mask) for mask in range(1 << g.n)]
+            assert table == subset_cost_table(g)
         assert checked == 24
 
     def test_full_scan_cross_checks_the_worth(self, monkeypatch):
@@ -485,6 +622,61 @@ class TestCertificateEquivalence:
                 cert = verify_core_certificate(g, cs, scaled)
                 assert cert.verdict == exh.verdict
                 assert exh.in_core == feasible
+
+
+@st.composite
+def imperfect_graphs(draw):
+    """Graphs on 5-10 vertices with weights 0-3 and an induced odd hole on
+    their first 5 or 7 vertices (so none is perfect), other edges at
+    random."""
+    n = draw(st.integers(min_value=5, max_value=10))
+    hole = draw(st.sampled_from([k for k in (5, 7) if k <= n]))
+    edges = [(v, (v + 1) % hole) for v in range(hole)]
+    others = [(u, v) for u in range(n) for v in range(max(u + 1, hole), n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+    edges += [e for e, keep in zip(others, picks) if keep]
+    weights = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    return WeightedGraph.from_edges(n, edges, weights)
+
+
+class TestVerifierAgreementOnImperfectGraphs:
+    """The certificate check is exact on every graph: the core is the set
+    of covers whose total is the worth, so both checkers agree on
+    imperfect graphs too, in-core verdicts included."""
+
+    def test_certificate_and_exhaustive_agree(self):
+        verdicts = []
+
+        @given(imperfect_graphs(), st.randoms(use_true_random=False))
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        def agree(g, rng):
+            assert find_odd_hole(g) is not None
+            cs = maximal_cliques(g)
+            worth = game_worth(g)
+            dual = solve_game(g, cs)[1]
+            if dual.value == worth:
+                base = list(dual.y)
+            else:
+                # The gap is open and no cover totals the worth: scale one down.
+                base = [y * worth / dual.value for y in dual.y]
+            vectors = [base]
+            for _ in range(3):
+                moved = base[:]
+                src, dst = rng.randrange(len(cs)), rng.randrange(len(cs))
+                amount = moved[src] * F(rng.randint(0, 4), 4)
+                moved[src] -= amount
+                moved[dst] += amount
+                vectors.append(moved)
+            certificate, exhaustive = CertificateChecker(g, cs), ExhaustiveChecker(g, cs)
+            for values in vectors:
+                imp = Imputation(values=tuple(values))
+                verdict = certificate.check(imp).verdict
+                assert exhaustive.check(imp).verdict == verdict
+                verdicts.append(verdict)
+
+        agree()
+        assert "in-core" in verdicts
+        assert "violated" in verdicts
 
 
 class TestLiftDual:
