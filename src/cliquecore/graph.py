@@ -319,11 +319,13 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
             f"header declares {declared_m} edges but {len(edges)} were given"
         )
 
-    w = [weights.get(v, Fraction(1)) for v in range(n)]
-    lab = None
-    if labels:
-        lab = [labels.get(v, str(v)) for v in range(n)]
-    return WeightedGraph.from_edges(n, edges, w, lab)
+    # Every check of WeightedGraph.from_edges has been made line by line
+    # above, so the graph is built directly.
+    edges.sort()
+    one = Fraction(1)
+    w = tuple([weights.get(v, one) for v in range(n)])
+    lab = tuple([labels.get(v, str(v)) for v in range(n)]) if labels else None
+    return WeightedGraph(n=n, edges=tuple(edges), weights=w, labels=lab)
 
 
 def serialize_graph(g: WeightedGraph) -> str:

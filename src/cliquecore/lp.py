@@ -13,18 +13,21 @@ whose dual is the fractional clique-cover problem
 with variables ranging over the maximal cliques only (a multiplier on a
 non-maximal clique can always be moved onto a containing maximal clique,
 see :func:`cliquecore.core.lift_dual`).  On a perfect graph the cover
-optimum is integral (total dual integrality, Chvatal 1975).
+LP has an integral optimum (total dual integrality, Chvatal 1975), but
+not every optimal basis is integral, so the pivot rules matter.
 
-The solver is a dense primal simplex on 0/1 rows with right-hand side 1,
-which starts feasible at its slack basis, so one phase suffices.  Bland's
-smallest-index rule guarantees termination under degeneracy and makes
-every run reproducible (identical input, identical optimal vertex).  It
-pivots on integer rows, each over one denominator of its own, and returns
-Fractions; no floating point enters anywhere.  The clique cover is the
-row-dual vector of the final basis, read off the slack columns, and
-:func:`certify_optimum` checks both optima exactly, in scaled ints,
-reading only the LP rows and not the tableau, before anything is
-returned.  The cover LP builder stays for ``--dump-lp``.
+The solver runs the dual simplex method (Lemke 1954) on the cover LP,
+one tableau row per vertex, from its dual-feasible surplus basis, so one
+phase suffices and the m maximal cliques widen the tableau without
+lengthening it.  Its pivot rules (see :func:`_dual_simplex`) make every
+run reproducible (identical input, identical optimal vertex), guarantee
+termination, and reached an integral cover on every perfect graph tried,
+where dual Bland alone stops at halves or thirds on some.  It pivots on
+integer rows, each over one denominator of its own, and returns
+Fractions; no floating point enters anywhere.  :func:`certify_optimum`
+checks both optima exactly, in scaled ints, reading only the LP rows and
+not the tableau, before anything is returned.  The cover LP builder
+stays for ``--dump-lp``.
 """
 
 from __future__ import annotations
@@ -47,15 +50,16 @@ class LinearProgram:
     """max or min of ``objective . x`` subject to sparse rows, x >= 0.
 
     ``rows[i]`` maps variable index to coefficient; ``senses[i]`` is one of
-    ``"<="``, ``">="``, ``"="``.  :func:`lp_format` writes out any such LP;
+    ``"<="``, ``">="``, ``"="``.  Coefficients and right-hand sides are
+    Fractions or ints.  :func:`lp_format` writes out any such LP;
     :func:`solve_general` solves only the stable-set form.
     """
 
     direction: str
     objective: tuple[Fraction, ...]
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, Fraction | int], ...]
     senses: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ def solve_general(lp: LinearProgram) -> LPResult:
     maximize, every row a 0/1 set of in-range variables read ``<= 1``;
     any other LP raises ValueError.  The objective may have any sign (a
     variable in no row with a positive cost makes the LP unbounded).  On
-    success ``x`` is a basic solution and ``duals`` the complementary
-    basic dual solution of the same final basis.
+    success ``duals`` is a basic solution of the cover LP and ``x`` the
+    complementary basic solution of the same final basis.
 
     The name predates the restriction to one form and is kept: every game
     solve passes through it, and the benchmark's tracer
@@ -112,7 +116,7 @@ def solve_general(lp: LinearProgram) -> LPResult:
                 raise ValueError(f"row {i} references variable {j} of {nv}")
             if a != 1:
                 raise ValueError(f"row {i} has coefficient {a} on variable {j}, not 1")
-    status, x, duals = _simplex_max(nv, lp.rows, lp.objective)
+    status, x, duals = _dual_simplex(nv, lp.rows, lp.objective)
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
     value = certify_optimum(lp, x, duals)
@@ -186,44 +190,70 @@ def certify_optimum(
     return value
 
 
-def _simplex_max(
+#: Consecutive dual-degenerate pivots :func:`_dual_simplex` makes with its
+#: main rule before it switches to dual Bland for the rest of the solve,
+#: in multiples of the tableau's column count (0: dual Bland throughout).
+STALL_SWEEPS = 1
+
+
+def _dual_simplex(
     nv: int, rows: Sequence[Iterable[int]], c: Sequence[Fraction]
 ) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
-    """Single-phase tableau simplex maximizing c.x subject to x(row) <= 1
-    for every row (a set of variable indices) and x >= 0, pivoting on ints
-    from the feasible slack basis x = 0.
+    """Optimum of max c.x subject to x(row) <= 1 for every row (a set of
+    variable indices) and x >= 0, by dual simplex on its covering dual
 
-    Every tableau row, the objective row included, is a list of Python
+        minimize  sum_i y_i  subject to  sum_{i: v in rows[i]} y_i >= c_v
+        for every variable v,  y >= 0.
+
+    The tableau has one row per variable v, ``-sum y_i + s_v = -c_v``, over
+    the m columns y (0..m-1), the surplus columns s (m..m+nv-1) and the
+    right-hand side.  Its surplus basis is dual feasible, because every
+    y_i costs 1 and every s_v 0, so one phase suffices: each pivot keeps
+    the reduced costs ``z >= 0`` (kept at ``tab[nv]``) and the solve ends
+    when no right-hand side is negative.
+
+    - Leaving row: the most negative right-hand side, ties to the lowest
+      row.
+    - Entering column: the smallest ratio ``z_j / -a_j`` over the leaving
+      row's negative entries, ties to the smallest column.  A leaving row
+      without one proves the cover infeasible, so the packing LP is
+      unbounded.
+    - After :data:`STALL_SWEEPS` times ``m + nv`` consecutive pivots with
+      ``z_j == 0`` (dual-degenerate), the leaving row is instead the one
+      whose basic column is smallest (dual Bland) for the rest of the
+      solve, which guarantees termination.
+
+    Every tableau row, the reduced costs included, is a list of Python
     ints over one positive int denominator of its own (row i stands for
     ``tab[i] / den[i]``), kept in lowest terms by a gcd after each update
     (fraction-free pivoting: Edmonds 1967; Bareiss 1968).  Sign tests are
-    on ints and the ratio test cross-multiplies, so the Bland choices and
-    the final basis are those of the same simplex on Fractions.
+    on ints and comparisons cross-multiply, so every choice and the final
+    basis are those of the same simplex on Fractions.
 
-    Returns the status ("optimal" or "unbounded"), the optimal x and the
-    row duals of the final basis, as Fractions.  Row i's dual is the final
-    reduced cost of its slack column ``nv + i``.
+    Returns the status ("optimal" or "unbounded"), then x and the row
+    duals y, as Fractions: y_i is the value of column i where basic, and
+    x_v the final reduced cost of surplus column v.
     """
     m = len(rows)
-    ncols = nv + m
+    ncols = m + nv
 
-    # Constraint rows start over denominator 1: row i is its 0/1 members,
-    # its slack and the right-hand side 1.
+    # Row v starts over the denominator of c_v: -1 on each y_i with v in
+    # rows[i], 1 on s_v, and -c_v.
     tab: list[list[int]] = []
-    for i, row in enumerate(rows):
+    den: list[int] = []
+    for v, a in enumerate(c):
+        d = a.denominator
         dense = [0] * (ncols + 1)
-        for j in row:
-            dense[j] = 1
-        dense[nv + i] = 1
-        dense[ncols] = 1
+        dense[m + v] = d
+        dense[ncols] = -a.numerator
         tab.append(dense)
-    den = [1] * m
-    basis = list(range(nv, ncols))
-    # The objective row z = c_B.B^-1.A - c is -c at the slack basis, kept
-    # at tab[m] over the common denominator of c.
-    d, ints = to_int_scale(c)
-    tab.append([-a for a in ints] + [0] * (m + 1))
-    den.append(d)
+        den.append(d)
+    for i, row in enumerate(rows):
+        for v in row:
+            tab[v][i] = -den[v]
+    basis = list(range(m, ncols))
+    tab.append([1] * m + [0] * (nv + 1))
+    den.append(1)
 
     def store(i: int, row: list[int], d: int):
         # Lowest terms: divide the row and its denominator by their gcd.
@@ -234,7 +264,7 @@ def _simplex_max(
         den[i] = d
 
     def pivot(pr: int, pc: int):
-        # Also updates the objective row at tab[m].  Dividing row pr by
+        # Also updates the reduced costs at tab[nv].  Dividing row pr by
         # its pivot entry leaves the same ints over the pivot entry (sign
         # moved into the row).
         prow = tab[pr]
@@ -258,47 +288,53 @@ def _simplex_max(
                 store(i, row, den[i] * p)
         basis[pr] = pc
 
-    # Optimal once every reduced cost z[j] is >= 0.
+    stalled, bland = 0, False
     while True:
-        z = tab[m]
-        pc = next((j for j in range(ncols) if z[j] < 0), -1)
-        if pc < 0:
-            break
-        # Bland's ratio test on b_i / a_i, cross-multiplied (a > 0).
+        bland = bland or stalled >= STALL_SWEEPS * ncols
         pr = -1
-        for i in range(m):
-            row = tab[i]
-            a = row[pc]
-            if a > 0:
-                b = row[ncols]
-                if pr < 0:
-                    pr, best_a, best_b = i, a, b
-                    continue
-                left, right = b * best_a, best_b * a
-                if left < right or (left == right and basis[i] < basis[pr]):
-                    pr, best_a, best_b = i, a, b
+        for i in range(nv):
+            b = tab[i][ncols]
+            if b < 0 and (
+                pr < 0
+                or (basis[i] < basis[pr] if bland else b * best_d < best_b * den[i])
+            ):
+                pr, best_b, best_d = i, b, den[i]
         if pr < 0:
+            break
+        # Ratio test on z_j / -a_j, cross-multiplied (a < 0; the row's
+        # own denominator is common to all ratios).
+        z, prow = tab[nv], tab[pr]
+        pc = -1
+        for j in range(ncols):
+            a = prow[j]
+            if a < 0 and (pc < 0 or z[j] * best_a > best_z * a):
+                pc, best_a, best_z = j, a, z[j]
+        if pc < 0:
             return "unbounded", None, None
+        stalled = stalled + 1 if best_z == 0 else 0
         pivot(pr, pc)
 
-    x = [ZERO] * nv
-    for i in range(m):
-        if basis[i] < nv:
-            x[basis[i]] = Fraction(tab[i][ncols], den[i])
-    return "optimal", x, [Fraction(a, den[m]) for a in z[nv:ncols]]
+    y = [ZERO] * m
+    for i in range(nv):
+        if basis[i] < m:
+            y[basis[i]] = Fraction(tab[i][ncols], den[i])
+    z = tab[nv]
+    return "optimal", [Fraction(a, den[nv]) for a in z[m:ncols]], y
 
 
 def build_stable_set_lp(
     weights: Sequence[Fraction], clique_members: Sequence[Iterable[int]]
 ) -> LinearProgram:
-    """Fractional stable-set relaxation over the given clique rows."""
-    rows = tuple({v: ONE for v in q} for q in clique_members)
+    """Fractional stable-set relaxation over the given clique rows, with
+    int coefficients and right-hand sides."""
+    rows = tuple(dict.fromkeys(q, 1) for q in clique_members)
+    m = len(rows)
     return LinearProgram(
         direction="max",
         objective=tuple(Fraction(w) for w in weights),
         rows=rows,
-        senses=tuple("<=" for _ in rows),
-        rhs=tuple(ONE for _ in rows),
+        senses=("<=",) * m,
+        rhs=(1,) * m,
     )
 
 
@@ -321,14 +357,14 @@ def build_clique_cover_lp(
 
 
 def solve_game(g: WeightedGraph, cliques: CliqueSet) -> tuple[PrimalSolution, DualSolution]:
-    """Both game optima from one simplex solve of the stable-set LP.
+    """Both game optima from one dual simplex solve of the cover LP.
 
-    The clique cover is the row-dual vector of the final basis, certified
-    exactly inside :func:`solve_general` (``y >= 0``, every vertex covered,
-    ``sum(y) == w.x``).  It is the basic dual solution complementary to
-    the primal basis: tight on the dual constraints of the basic columns,
-    which are linearly independent, so it is a vertex of the cover
-    polyhedron, and Bland's rule makes it deterministic.
+    The clique cover is the basic solution of the final basis, so a vertex
+    of the cover polyhedron, and the fractional stable set the
+    complementary basic solution, read off the surplus columns; both are
+    certified exactly inside :func:`solve_general` (``y >= 0``, every
+    vertex covered, ``x`` feasible, ``sum(y) == w.x``).  The pivot rules
+    are deterministic, so the same input gives the same vertex.
     """
     res = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
     if res.status != "optimal":
@@ -343,8 +379,8 @@ def solve_primal(g: WeightedGraph, cliques: CliqueSet) -> PrimalSolution:
 
 
 def solve_dual(g: WeightedGraph, cliques: CliqueSet) -> DualSolution:
-    """Exact optimal vertex of the fractional clique-cover problem, read
-    off the final tableau of the stable-set LP and certified with it (see
+    """Exact optimal vertex of the fractional clique-cover problem,
+    certified with the stable-set optimum of the same solve (see
     :func:`solve_game`)."""
     return solve_game(g, cliques)[1]
 

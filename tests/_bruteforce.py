@@ -4,10 +4,13 @@ Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
 cross-check, not circular.  Only usable for small n.  ``simplex_max``,
 ``smallest_odd_hole`` and ``certify_optimum`` are kept as slow references
-to code the library replaced: the Fraction simplex before its integer
-simplex, the subset scan before its chordless-path odd-hole search, and
-the Fraction optimality certificate before its int one (it shares the
-library's cover check ``first_uncovered``, which has tests of its own).
+to code the library replaced: the two-phase Fraction simplex before its
+dual simplex on the cover LP (now a value oracle for any LP), the subset
+scan before its chordless-path odd-hole search, and the Fraction
+optimality certificate before its int one (it shares the library's cover
+check ``first_uncovered``, which has tests of its own).
+``dual_simplex_max`` is the Fraction form of the library's dual simplex,
+making the same choices.
 """
 
 from fractions import Fraction
@@ -236,8 +239,8 @@ def core_by_definition(g, cliques, imputation) -> tuple[bool, tuple | None]:
     return True, None
 
 
-# Same signature and same Bland choices as ``cliquecore.lp._simplex_max``,
-# so the two must return identical results.
+# The value oracle for any LP: the library's solver, a dual simplex on the
+# cover LP, returns other vertices, but must reach the same optimal value.
 def simplex_max(
     nv: int,
     rows: Sequence[dict[int, Fraction]],
@@ -433,3 +436,67 @@ def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fra
             f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"
         )
     return value
+
+
+# Same signature and same choices as ``cliquecore.lp._dual_simplex``, so
+# the two must return identical results; ``stall_sweeps`` stands for its
+# ``STALL_SWEEPS``.
+def dual_simplex_max(
+    nv: int, rows: Sequence[dict[int, Fraction]], c: Sequence[Fraction], stall_sweeps: int = 1
+) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
+    """Dual simplex on Fractions for max c.x, x(row) <= 1, x >= 0, run on
+    its covering dual: one row ``-sum y_i + s_v = -c_v`` per variable v,
+    over the columns y_0..y_(m-1), s_0..s_(nv-1), from the surplus basis.
+
+    The leaving row has the most negative right-hand side (ties: lowest
+    row), or, once ``stall_sweeps * (m + nv)`` consecutive pivots entered
+    a column of reduced cost 0, the smallest basic column among negative
+    right-hand sides for the rest of the solve.  The entering column has
+    the smallest ``z_j / -a_j`` over negative entries (ties: smallest
+    column).  Returns the status, x (the surplus columns' final reduced
+    costs) and the row duals y (the basic values of the y columns).
+    """
+    m = len(rows)
+    ncols = m + nv
+    tab = []
+    for v in range(nv):
+        row = [ZERO] * (ncols + 1)
+        row[m + v] = ONE
+        row[ncols] = -Fraction(c[v])
+        tab.append(row)
+    for i, members in enumerate(rows):
+        for v in members:
+            tab[v][i] = -ONE
+    z = [ONE] * m + [ZERO] * (nv + 1)
+    basis = list(range(m, ncols))
+    stalled, bland = 0, False
+    while True:
+        if stalled >= stall_sweeps * ncols:
+            bland = True
+        negative = [i for i in range(nv) if tab[i][ncols] < 0]
+        if not negative:
+            break
+        if bland:
+            pr = min(negative, key=lambda i: basis[i])
+        else:
+            pr = min(negative, key=lambda i: (tab[i][ncols], i))
+        prow = tab[pr]
+        entering = [j for j in range(ncols) if prow[j] < 0]
+        if not entering:
+            return "unbounded", None, None
+        pc = min(entering, key=lambda j: (z[j] / -prow[j], j))
+        stalled = stalled + 1 if z[pc] == 0 else 0
+        piv = prow[pc]
+        tab[pr] = prow = [a / piv for a in prow]
+        for i, row in enumerate(tab):
+            f = row[pc]
+            if i != pr and f:
+                tab[i] = [a - f * b for a, b in zip(row, prow)]
+        f = z[pc]
+        z = [a - f * b for a, b in zip(z, prow)]
+        basis[pr] = pc
+    y = [ZERO] * m
+    for i, j in enumerate(basis):
+        if j < m:
+            y[j] = tab[i][ncols]
+    return "optimal", z[m:ncols], y

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecore import (
     GraphParseError,
@@ -16,7 +18,9 @@ from cliquecore import (
 )
 from cliquecore.graph import parse_fraction
 
-from conftest import graphs
+from conftest import fractional_graphs, graphs
+
+label_text = st.text(alphabet="abcxyz019_-", min_size=1, max_size=4)
 
 
 class TestParse:
@@ -89,6 +93,23 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random(self, g):
         assert parse_graph(serialize_graph(g)) == g
+
+    @given(fractional_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_builds_the_validated_graph(self, g, data):
+        # parse_graph builds the graph without WeightedGraph.from_edges, so
+        # it must canonicalize as from_edges does: edge lines in any order,
+        # endpoints either way round.
+        labels = data.draw(st.lists(label_text, min_size=g.n, max_size=g.n))
+        g = WeightedGraph.from_edges(g.n, g.edges, g.weights, labels or None)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        header, *lines = serialize_graph(g).splitlines()
+        body = []
+        for line in lines:
+            kind, a, b = line.split(" ", 2)
+            body.append(f"e {b} {a}" if kind == "e" and rng.random() < 0.5 else line)
+        rng.shuffle(body)
+        assert parse_graph("\n".join([header, *body])) == g
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,8 +11,10 @@ from cliquecore import (
     LinearProgram,
     build_clique_cover_lp,
     build_stable_set_lp,
+    complement,
     compute_core_imputation,
     four_program_chain,
+    from_spec,
     is_integral,
     lp_format,
     maximal_cliques,
@@ -22,6 +26,7 @@ from cliquecore import (
 )
 from cliquecore import lp as lp_module
 from cliquecore.cli import main
+from cliquecore.core import certified_worth
 from cliquecore.lp import certify_optimum, first_uncovered
 
 import _bruteforce as bf
@@ -288,13 +293,13 @@ class TestTableauDual:
             certify_optimum(problem, bad, res.duals)
 
     def test_solver_runs_the_certificate(self, paley, monkeypatch):
-        real = lp_module._simplex_max
+        real = lp_module._dual_simplex
 
         def off_by_one(*args):
             status, x, duals = real(*args)
             return status, x, [duals[0] + 1] + duals[1:]
 
-        monkeypatch.setattr(lp_module, "_simplex_max", off_by_one)
+        monkeypatch.setattr(lp_module, "_dual_simplex", off_by_one)
         with pytest.raises(RuntimeError, match="certificate"):
             solve_dual(paley, maximal_cliques(paley))
 
@@ -329,7 +334,7 @@ class TestCertifyOptimumAgainstFraction:
         g = data.draw(strategy(max_n=7))
         cs = maximal_cliques(g)
         problem = build_stable_set_lp(g.weights, cs.cliques)
-        status, x, duals = lp_module._simplex_max(g.n, problem.rows, list(problem.objective))
+        status, x, duals = lp_module._dual_simplex(g.n, problem.rows, list(problem.objective))
         assert status == "optimal"
         assert assert_same_certificate(problem, x, duals)
         for _ in range(3):
@@ -342,23 +347,17 @@ class TestCertifyOptimumAgainstFraction:
             assert_same_certificate(problem, bad_x, bad_duals)
 
 
-def reference_simplex(nv, rows, c):
-    """The two-phase Fraction simplex on the stable-set form, called like
-    ``lp._simplex_max``."""
-    return bf.simplex_max(nv, rows, ["<="] * len(rows), [1] * len(rows), c)
-
-
 def assert_same_as_fraction_simplex(problem):
-    """The single-phase integer simplex against the two-phase Fraction
-    one, both on the raw solver and through the certified
+    """The integer dual simplex against the Fraction one making the same
+    choices, both on the raw solver and through the certified
     ``solve_general``."""
     nv, c = len(problem.objective), list(problem.objective)
-    fast = lp_module._simplex_max(nv, problem.rows, c)
-    assert fast == reference_simplex(nv, problem.rows, c)
+    fast = lp_module._dual_simplex(nv, problem.rows, c)
+    assert fast == bf.dual_simplex_max(nv, problem.rows, c)
     _, x, duals = fast
     assert all(type(v) is F for v in (x or []) + (duals or []))
     result = solve_general(problem)
-    with mock.patch.object(lp_module, "_simplex_max", reference_simplex):
+    with mock.patch.object(lp_module, "_dual_simplex", bf.dual_simplex_max):
         assert solve_general(problem) == result
     return result
 
@@ -367,6 +366,10 @@ def assert_both_game_lps_match(g):
     cs = maximal_cliques(g)
     stable = assert_same_as_fraction_simplex(build_stable_set_lp(g.weights, cs.cliques))
     assert stable.value == reference_value(build_clique_cover_lp(g.weights, cs.cliques))
+
+
+def stable_set_lp(g):
+    return build_stable_set_lp(g.weights, maximal_cliques(g).cliques)
 
 
 def is_stable_set_form(problem):
@@ -488,17 +491,111 @@ class TestAgainstFractionSimplex:
         assert_same_as_fraction_simplex(problem)
 
 
+class TestAgainstTwoPhaseValues:
+    """The two-phase Fraction simplex reaches other vertices, so it is
+    compared by value: same status, same optimal value, and the solver's
+    own x and duals pass the certificate."""
+
+    @given(st.one_of(packing_lps(), graphs(max_n=7).map(stable_set_lp)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_value_and_certified(self, problem):
+        result = solve_general(problem)
+        c = list(problem.objective)
+        status = bf.simplex_max(len(c), problem.rows, problem.senses, problem.rhs, c)[0]
+        assert result.status == status
+        if status == "optimal":
+            assert result.value == reference_value(problem)
+            assert certify_optimum(problem, result.x, result.duals) == result.value
+
+
+def assert_same_under_dual_bland(problem, monkeypatch):
+    """With ``STALL_SWEEPS`` at 0 the solver pivots by dual Bland from the
+    first pivot; it must still match the Fraction dual simplex under the
+    same rule and pass the certificate."""
+    nv, c = len(problem.objective), list(problem.objective)
+    monkeypatch.setattr(lp_module, "STALL_SWEEPS", 0)
+    fast = lp_module._dual_simplex(nv, problem.rows, c)
+    assert fast == bf.dual_simplex_max(nv, problem.rows, c, stall_sweeps=0)
+    assert solve_general(problem).status == fast[0]
+
+
+class TestStallFallback:
+    @given(st.one_of(packing_lps(), graphs(max_n=7).map(stable_set_lp)))
+    @settings(max_examples=100, deadline=None)
+    def test_dual_bland_throughout(self, problem):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_same_under_dual_bland(problem, monkeypatch)
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_dual_bland_throughout_random(self, n, monkeypatch):
+        assert_same_under_dual_bland(stable_set_lp(random_graph(n, n, max_weight=100)), monkeypatch)
+
+
+def weighted_spec(spec, seed):
+    """``from_spec(spec, seed)`` with weights 0..100 drawn from the same
+    seed, in vertex order."""
+    g = from_spec(spec, seed=seed)
+    rng = random.Random(seed)
+    return g.with_weights([rng.randint(0, 100) for _ in range(g.n)])
+
+
+# Perfect graphs on which an optimal basis of the cover LP can be
+# fractional: dual Bland stops at halves or thirds on co-chordal 14 and 24
+# and co-bipartite 28, and primal Dantzig pricing on co-chordal 21.
+FRACTIONAL_UNDER_OTHER_RULES = [("chordal:30", 14), ("chordal:30", 21), ("chordal:30", 24),
+                                ("bipartite:30", 28)]
+
+
+class TestIntegralCoverOnPerfectGraphs:
+    """Total dual integrality promises an integral optimal cover on a
+    perfect graph, not that every optimal basis is one; the pivot rules
+    must reach an integral one."""
+
+    @pytest.mark.parametrize(
+        "spec,seed,complemented",
+        [(spec, seed, True) for spec, seed in FRACTIONAL_UNDER_OTHER_RULES]
+        + [(spec, seed, co) for spec in ("chordal:30", "bipartite:30") for seed in (1, 2, 3)
+           for co in (False, True)],
+    )
+    def test_cover_is_integral(self, spec, seed, complemented):
+        g = weighted_spec(spec, seed)
+        if complemented:
+            g = complement(g)
+        primal, dual = solve_game(g, maximal_cliques(g))
+        assert is_integral(dual.y)
+        assert certified_worth(g, primal) == dual.value
+
+    @pytest.mark.parametrize("spec,seed", [("chordal:30", 14), ("chordal:30", 24),
+                                           ("bipartite:30", 28)])
+    def test_dual_bland_alone_is_not_enough(self, spec, seed, monkeypatch):
+        monkeypatch.setattr(lp_module, "STALL_SWEEPS", 0)
+        g = complement(weighted_spec(spec, seed))
+        assert not is_integral(solve_game(g, maximal_cliques(g))[1].y)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec,limit", [("bipartite:100", 1.0), ("chordal:200", 1.0)])
+def test_large_perfect_graphs_solve_and_prove_the_worth(spec, limit):
+    g = from_spec(spec, seed=7)
+    cs = maximal_cliques(g)
+    start = time.perf_counter()
+    primal, dual = solve_game(g, cs)
+    assert time.perf_counter() - start < limit
+    assert certified_worth(g, primal) == dual.value
+    assert is_integral(dual.y)
+
+
 class TestOneSimplexPerGame:
     @pytest.fixture
     def simplex_calls(self, monkeypatch):
         calls = []
-        real = lp_module._simplex_max
+        real = lp_module._dual_simplex
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lp_module, "_simplex_max", counting)
+        monkeypatch.setattr(lp_module, "_dual_simplex", counting)
         return calls
 
     def test_cli_solve(self, simplex_calls, capsys):
