@@ -25,7 +25,7 @@ from .cliques import maximal_cliques
 from .core import (
     Imputation,
     certified_worth,
-    game_worth,
+    check_exhaustive_size,
     verify_core_certificate,
     verify_core_exhaustive,
 )
@@ -87,14 +87,13 @@ def _load_graph(args) -> WeightedGraph:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args)
-    cliques = maximal_cliques(g)
     # The fallback search's cap holds even when the LP proves the worth:
-    # above it the LP's own size is not yet bounded by any guard.
+    # above it the LP's own size is not yet bounded by any guard.  It is
+    # checked before the cliques, whose enumeration alone can take seconds.
     oracle.check_stable_set_size(g.n)
+    cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
     worth = certified_worth(g, primal)
-    if worth is None:
-        worth = game_worth(g)
     if args.dump_lp:
         Path(args.dump_lp + ".primal.lp").write_text(
             lp_format(build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
@@ -156,6 +155,10 @@ def _json_int(text: str) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
+    # The checker's guards, before the cliques are enumerated.
+    if args.exhaustive:
+        check_exhaustive_size(g.n)
+    oracle.check_stable_set_size(g.n)
     cliques = maximal_cliques(g)
     try:
         raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"), parse_int=_json_int)

@@ -2,8 +2,8 @@
 
 Enumeration is pivoted Bron-Kerbosch over neighborhood bitmasks, followed
 by a canonical lexicographic sort, so two runs on the same graph produce
-identical output.  A configurable cap on the number of cliques errs
-instead of truncating: a truncated firm set would silently change the game.
+identical output.  A fixed cap on the number of cliques errs instead of
+truncating: a truncated firm set would silently change the game.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GuardError
-from .graph import WeightedGraph, make_scenario
+from .graph import WeightedGraph, make_scenario, scenario_mask
 
+#: Most maximal cliques :func:`maximal_cliques` enumerates before it errs.
 DEFAULT_CLIQUE_CAP = 10**6
 
 
@@ -34,13 +35,7 @@ class CliqueSet:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        out = []
-        for q in self.cliques:
-            m = 0
-            for v in q:
-                m |= 1 << v
-            out.append(m)
-        return tuple(out)
+        return tuple(scenario_mask(q) for q in self.cliques)
 
     @cached_property
     def member_index(self) -> tuple[tuple[int, ...], ...]:
@@ -67,11 +62,11 @@ def clique_key(members: Iterable[int]) -> str:
     return "-".join(str(v) for v in sorted(members))
 
 
-def maximal_cliques(g: WeightedGraph, max_cliques: int = DEFAULT_CLIQUE_CAP) -> CliqueSet:
+def maximal_cliques(g: WeightedGraph) -> CliqueSet:
     """All maximal cliques of g, each exactly once, in canonical order.
 
     Isolated vertices appear as singleton cliques.  Raises GuardError once
-    more than ``max_cliques`` cliques have been found.
+    more than :data:`DEFAULT_CLIQUE_CAP` cliques have been found.
     """
     adj = g.adj
     found: list[tuple[int, ...]] = []
@@ -82,9 +77,9 @@ def maximal_cliques(g: WeightedGraph, max_cliques: int = DEFAULT_CLIQUE_CAP) -> 
         r, p, x = stack.pop()
         if p == 0 and x == 0:
             found.append(tuple(sorted(r)))
-            if len(found) > max_cliques:
+            if len(found) > DEFAULT_CLIQUE_CAP:
                 raise GuardError(
-                    f"more than {max_cliques} maximal cliques; raise the cap explicitly"
+                    f"maximal-clique enumeration capped at {DEFAULT_CLIQUE_CAP} cliques"
                 )
             continue
         # pivot: vertex of P|X whose neighborhood eats most of P

@@ -12,9 +12,12 @@ cost.
 Two verifiers are provided: a certificate check (dual feasibility plus
 exact totality, never enumerating scenarios) and an exhaustive check over
 all 2^n scenarios.  Each finds only its first violation; the length and
-totality checks and the report are shared (``_verdict``).  On perfect
-graphs the two agree on every input; that equivalence is the central
-property the test suite exercises.
+totality checks and the report are shared (``_verdict``).  The two give
+the same verdict on every graph: the core is exactly the set of clique
+covers whose total is the worth, since each singleton scenario {v} makes
+a core imputation cover v, and a cover affords every scenario, a firm
+meeting a stable set in at most one vertex.  That equivalence is the
+central property the test suite exercises.
 """
 
 from __future__ import annotations
@@ -182,9 +185,9 @@ def money(
     return total
 
 
-def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction | None:
+def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction:
     """The game worth, proved by a certified optimum of the stable-set LP
-    (``lp.solve_game``), or None when that optimum does not prove it.
+    (``lp.solve_game``) when it can be, else searched by :func:`game_worth`.
 
     When ``primal.x`` is 0/1, its support is checked to be stable on
     ``g.adj``, not through the clique list.  A stable set's weight is at
@@ -192,18 +195,15 @@ def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction | None
     cover on g's cliques, which ``lp.certify_optimum`` has shown to equal
     ``w.x`` (weak duality), so ``primal.value`` is the worth exactly.  On a perfect graph
     the LP's polytope is integral (Chvatal 1975), so its simplex vertex is
-    0/1; a fractional ``x`` returns None.
+    0/1; a fractional ``x``, or a support that is not stable, proves
+    nothing and falls back to branch and bound.
     """
-    support = 0
-    for v, xv in enumerate(primal.x):
-        if xv == 1:
-            support |= 1 << v
-        elif xv:
-            return None
-    adj = g.adj
-    if any(adj[v] & support for v in mask_to_scenario(support)):
-        return None
-    return primal.value
+    members = [v for v, xv in enumerate(primal.x) if xv]
+    if all(primal.x[v] == 1 for v in members):
+        support = scenario_mask(members)
+        if not any(g.adj[v] & support for v in members):
+            return primal.value
+    return game_worth(g)
 
 
 def compute_core_imputation(
@@ -211,21 +211,20 @@ def compute_core_imputation(
 ) -> Imputation:
     """A core imputation: the optimal clique-cover dual, exact.
 
-    Well-defined on perfect graphs, where the dual optimum equals the game
-    worth.  The worth comes from the same LP solve (:func:`certified_worth`)
-    when its optimum is 0/1, and from :func:`game_worth` otherwise.  On
-    other graphs (or under a solver bug) the totals differ and
-    DualGapError is raised rather than returning a non-core allocation;
-    callers are expected to have verified or asserted perfection.
+    On every graph the core is the set of clique covers whose total is
+    the worth, so it is nonempty exactly when the LP gap is closed: when
+    the dual optimum equals the worth, as on every perfect graph.  The
+    worth comes from :func:`certified_worth`.  When the dual optimum
+    exceeds it, the core is empty and DualGapError is raised rather than
+    returning a non-core allocation.
     """
     if cliques is None:
         cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
     imputation = Imputation(values=dual.y)
-    if certified_worth(g, primal) is None:
-        worth = game_worth(g)
-        if imputation.total != worth:
-            raise DualGapError(imputation.total, worth)
+    worth = certified_worth(g, primal)
+    if imputation.total != worth:
+        raise DualGapError(imputation.total, worth)
     return imputation
 
 
@@ -348,6 +347,13 @@ class _Packed:
         self.size += count
 
 
+def check_exhaustive_size(n: int) -> None:
+    """Raise GuardError when a graph of n vertices is too large for
+    :class:`ExhaustiveChecker`."""
+    if n > oracle.MAX_COST_TABLE_N:
+        raise GuardError(f"exhaustive scenario check capped at n <= {oracle.MAX_COST_TABLE_N}")
+
+
 class ExhaustiveChecker:
     """Scenario-by-scenario core check with shared precomputation.
 
@@ -386,10 +392,7 @@ class ExhaustiveChecker:
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
-        if g.n > oracle.MAX_COST_TABLE_N:
-            raise GuardError(
-                f"exhaustive scenario check capped at n <= {oracle.MAX_COST_TABLE_N}"
-            )
+        check_exhaustive_size(g.n)
         self.g = g
         self.cliques = cliques
         self.scale = g.scaled_weights[0]

@@ -30,7 +30,9 @@ class GuardError(RuntimeError):
 
 
 class DualGapError(RuntimeError):
-    """The optimal clique-cover dual is strictly larger than the game worth.
+    """The optimal clique-cover dual is strictly larger than the game worth,
+    so the core is empty: a core imputation is a clique cover whose total
+    is the worth, and no cover totals less than the dual optimum.
 
     On a perfect graph the two coincide, so hitting this means the input
     graph is not perfect (or, if it provably is, an internal solver bug).

@@ -97,10 +97,6 @@ def random_chordal(n: int, seed: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-#: Families accepted by :func:`from_spec`; random ones require a seed.
-FAMILIES = ("paley3x3", "cycle", "complete", "path", "bipartite", "chordal")
-
-
 def from_spec(spec: str, seed: int | None = None, max_n: int | None = None) -> WeightedGraph:
     """Build a graph from a compact spec string.
 

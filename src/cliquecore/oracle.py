@@ -157,14 +157,11 @@ def subset_cost_table(g: WeightedGraph) -> list[int]:
     return table
 
 
-def min_integral_clique_cover_value(
-    g: WeightedGraph,
-    weights: Sequence[int | Fraction] | None = None,
-    cliques: CliqueSet | None = None,
-) -> int:
+def min_integral_clique_cover_value(g: WeightedGraph, cliques: CliqueSet | None = None) -> int:
     """Minimum total multiplicity of maximal cliques covering each vertex's
-    integral demand: min sum_Q y_Q with y integral >= 0 and
-    sum_{Q contains v} y_Q >= w_v.
+    integral demand, its weight in ``g``: min sum_Q y_Q with y integral
+    >= 0 and sum_{Q contains v} y_Q >= w_v.  A fractional weight raises
+    ValueError.
 
     Exact depth-first search.  Admissible lower bound: demands summed over
     a greedily chosen stable set (a clique meets a stable set in at most
@@ -174,18 +171,10 @@ def min_integral_clique_cover_value(
     """
     if g.n > MAX_COVER_N:
         raise GuardError(f"integral cover search capped at n <= {MAX_COVER_N}")
-    if weights is None:
-        weights = g.weights
-    demand: list[int] = []
-    for v, x in enumerate(weights):
-        f = x if type(x) is int else Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"integral cover needs integer weights, got {f} at {v}")
-        if f < 0:
-            raise ValueError(f"negative weight at vertex {v}")
-        demand.append(int(f))
-    if len(demand) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(demand)}")
+    for v, x in enumerate(g.weights):
+        if x.denominator != 1:
+            raise ValueError(f"integral cover needs integer weights, got {x} at {v}")
+    demand = [x.numerator for x in g.weights]
     if g.n == 0 or max(demand) == 0:
         return 0
 
@@ -277,21 +266,19 @@ def four_program_chain(
     g: WeightedGraph, zero_one_weights: Sequence[int], cliques: CliqueSet | None = None
 ) -> FourProgramReport:
     """All four optima for a 0/1 cost vector, with the chain checked
-    exactly.  ``cliques``, the maximal cliques of ``g``, is enumerated when
-    not given."""
+    exactly.  Any weight other than 0 or 1 raises ValueError.
+    ``cliques``, the maximal cliques of ``g``, is enumerated when not
+    given."""
     if g.n > MAX_CHAIN_N:
         raise GuardError(f"four-program chain capped at n <= {MAX_CHAIN_N}")
-    w01 = [int(x) for x in zero_one_weights]
-    if len(w01) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w01)}")
-    if any(x not in (0, 1) for x in w01):
+    reweighted = g.with_weights(zero_one_weights)
+    if any(x not in (0, 1) for x in reweighted.weights):
         raise ValueError("chain weights must be 0 or 1")
 
-    reweighted = g.with_weights(w01)
     ip = max_weight_stable_set(reweighted).total_cost
     cs = maximal_cliques(g) if cliques is None else cliques
     primal, dual = lp.solve_game(reweighted, cs)
-    id_value = min_integral_clique_cover_value(g, w01, cs)
+    id_value = min_integral_clique_cover_value(reweighted, cs)
 
     report = FourProgramReport(
         integral_primal=int(ip),

@@ -245,6 +245,30 @@ class TestGuardBeforeWork:
             f"{DEFAULT_MAX_N} (raise it with --max-n)\n"
         )
 
+    @pytest.mark.parametrize(
+        "verb", [["solve"], ["verify", "{}"], ["verify", "{}", "--exhaustive"]]
+    )
+    def test_size_guard_before_cliques(self, capsys, tmp_path, verb):
+        # The complete 15-partite graph with parts of 3 has 45 vertices and
+        # 3^15 (about 14 million) maximal cliques: the verbs refuse it on
+        # its size, as they refuse a path of 45 vertices, without
+        # enumerating a clique.
+        parts = WeightedGraph.from_edges(
+            45, [(u, v) for u in range(45) for v in range(u + 1, 45) if u // 3 != v // 3]
+        )
+        path = tmp_path / "multipartite.graph"
+        path.write_text(serialize_graph(parts))
+        imputation = tmp_path / "empty.json"
+        imputation.write_text("{}")
+        argv = [str(imputation) if a == "{}" else a for a in verb]
+        _, _, expected = run(capsys, *argv, "--generate", "path:45")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == expected
+        assert err.startswith("guard: ")
+
     def test_max_n_overrides_the_ceiling(self, capsys):
         n = DEFAULT_MAX_N + 1
         argv = ("cliques", "--generate", f"path:{n}")

@@ -9,6 +9,7 @@ from cliquecore import (
     maximal_cliques,
     paley3x3,
 )
+from cliquecore import cliques as cliques_module
 
 import _bruteforce as bf
 from conftest import graphs, random_graph
@@ -64,12 +65,13 @@ class TestEnumeration:
                 inst.graph
             )
 
-    def test_clique_cap_errs_not_truncates(self):
+    def test_clique_cap_errs_not_truncates(self, monkeypatch):
         g = random_graph(8, seed=3)
         full = len(maximal_cliques(g))
         assert full > 2
-        with pytest.raises(GuardError):
-            maximal_cliques(g, max_cliques=2)
+        monkeypatch.setattr(cliques_module, "DEFAULT_CLIQUE_CAP", 2)
+        with pytest.raises(GuardError, match="capped at 2 cliques"):
+            maximal_cliques(g)
 
 
 class TestPredicates:

@@ -496,28 +496,47 @@ def perfect_fractional_graphs(draw, max_n: int = 12):
     return g.with_weights(weights)
 
 
+def counting_searches(mp: pytest.MonkeyPatch) -> list:
+    """Record in the returned list each graph ``core.game_worth`` searches."""
+    searched = []
+
+    def counting(h):
+        searched.append(h)
+        return game_worth(h)
+
+    mp.setattr(core_module, "game_worth", counting)
+    return searched
+
+
 class TestCertifiedWorth:
     @given(perfect_fractional_graphs())
     @settings(max_examples=60, deadline=None)
     def test_equals_branch_and_bound_on_perfect_graphs(self, g):
         primal = solve_primal(g, maximal_cliques(g))
-        worth = certified_worth(g, primal)
-        assert worth is not None
+        with pytest.MonkeyPatch.context() as mp:
+            searched = counting_searches(mp)
+            worth = certified_worth(g, primal)
+        assert searched == []  # the LP optimum proves the worth by itself
         assert worth == max_weight_stable_set(g).total_cost
 
-    def test_fractional_optimum_proves_nothing(self, c5):
-        assert certified_worth(c5, solve_primal(c5, maximal_cliques(c5))) is None
+    def test_fractional_optimum_proves_nothing(self, c5, monkeypatch):
+        searched = counting_searches(monkeypatch)
+        assert certified_worth(c5, solve_primal(c5, maximal_cliques(c5))) == 2
+        assert searched == [c5]
         with pytest.raises(DualGapError):
             compute_core_imputation(c5)
 
-    def test_support_must_be_stable(self):
+    def test_support_must_be_stable(self, monkeypatch):
         # A 0/1 vector on two adjacent vertices is no stable set, whatever
         # value it claims.
         k3 = complete(3)
         primal = solve_primal(k3, maximal_cliques(k3))
+        searched = counting_searches(monkeypatch)
         assert certified_worth(k3, primal) == 1
+        assert searched == []
         forged = type(primal)(x=(F(1), F(1), F(0)), value=F(2))
-        assert certified_worth(k3, forged) is None
+        assert certified_worth(k3, forged) == 1
+        assert searched == [k3]
 
 
 def reference_certificate(g, cs, imp):

@@ -137,7 +137,7 @@ class TestCost:
 
 class TestIntegralCliqueCover:
     def test_k3(self, k3):
-        assert min_integral_clique_cover_value(k3, [1, 1, 1]) == 1
+        assert min_integral_clique_cover_value(k3.with_weights([1, 1, 1])) == 1
 
     def test_c5_unit_cover_is_three(self, c5):
         assert min_integral_clique_cover_value(c5) == 3
@@ -147,11 +147,11 @@ class TestIntegralCliqueCover:
         assert min_integral_clique_cover_value(paley3x3()) == 3
 
     def test_zero_demand(self, c5):
-        assert min_integral_clique_cover_value(c5, [0] * 5) == 0
+        assert min_integral_clique_cover_value(c5.with_weights([0] * 5)) == 0
 
     def test_rejects_fractional_weights(self, k3):
         with pytest.raises(ValueError, match="integer"):
-            min_integral_clique_cover_value(k3, [F(1, 2), 1, 1])
+            min_integral_clique_cover_value(k3.with_weights([F(1, 2), 1, 1]))
 
     @given(graphs(max_n=6, max_weight=3))
     @settings(max_examples=40, deadline=None)
@@ -164,7 +164,7 @@ class TestIntegralCliqueCover:
 
     def test_weighted_path(self, path3):
         # demands 1,2,1 over cliques {0,1} and {1,2}: one unit each suffices
-        assert min_integral_clique_cover_value(path3, [1, 2, 1]) == 2
+        assert min_integral_clique_cover_value(path3.with_weights([1, 2, 1])) == 2
         assert bf.min_clique_cover_value(path3, [1, 2, 1]) == 2
 
 
@@ -195,9 +195,14 @@ class TestFourProgramChain:
             r.integral_dual,
         ) == (3, 3, 3, 3)
 
-    def test_rejects_non_binary_weights(self, k3):
+    def test_rejects_non_binary_weights(self, k3, c5):
         with pytest.raises(ValueError):
             four_program_chain(k3, [2, 0, 0])
+        # Weights are checked as given, not truncated to ints first.
+        with pytest.raises(ValueError, match="chain weights must be 0 or 1"):
+            four_program_chain(paley3x3(), [F(1, 2)] * 9)
+        with pytest.raises(ValueError, match="chain weights must be 0 or 1"):
+            four_program_chain(c5, [1.9] * 5)
 
     @given(graphs(max_n=7, max_weight=1))
     @settings(max_examples=40, deadline=None)

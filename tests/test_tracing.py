@@ -52,14 +52,13 @@ def test_check_perfect_searches_the_graph_and_its_complement(capsys):
 def test_corpus_computes_each_worth_and_clique_list_once_per_checker(capsys):
     # Two perfect instances: each worth once for the exhaustive and once
     # for the certificate checker (the optimal dual's worth comes from its
-    # own LP proof); each clique list once when the corpus is drawn and
-    # once for the whole suite.
+    # own LP proof); each clique list once, when the corpus is drawn.
     with tracing.Tracer() as tracer:
         assert main(["corpus", "--count", "2", "--n", "6", "--seed", "1", "--json"]) == 0
     assert tracing.leftover_wrappers() == []
     names = [span[0] for span in tracer.spans]
     assert names.count("core.game_worth") == 4
-    assert names.count("cliques.maximal_cliques") == 4
+    assert names.count("cliques.maximal_cliques") == 2
 
 
 def test_corpus_builds_no_induced_subgraph(capsys):
