@@ -155,7 +155,8 @@ def _json_int(text: str) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    # The checker's guards, before the cliques are enumerated.
+    # The checker's guards, before the cliques are enumerated, in the
+    # order ExhaustiveChecker.__init__ meets them (size, then game_worth).
     if args.exhaustive:
         check_exhaustive_size(g.n)
     oracle.check_stable_set_size(g.n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cliquecore import WeightedGraph, complete, cycle, paley3x3, path
+from cliquecore import core as core_module
 
 
 @pytest.fixture
@@ -69,3 +70,16 @@ def fractional_graphs(draw, max_n: int = 8):
         )
     )
     return g.with_weights(weights)
+
+
+def counting_searches(mp: pytest.MonkeyPatch) -> list:
+    """Record in the returned list each graph ``core.game_worth`` searches."""
+    searched = []
+    real = core_module.game_worth
+
+    def counting(h):
+        searched.append(h)
+        return real(h)
+
+    mp.setattr(core_module, "game_worth", counting)
+    return searched

@@ -46,7 +46,7 @@ from cliquecore.corpus import build_corpus, infeasible_total_vectors, scaled_to_
 from cliquecore.graph import mask_to_scenario
 
 import _bruteforce as bf
-from conftest import graphs
+from conftest import counting_searches, graphs
 
 F = Fraction
 
@@ -494,18 +494,6 @@ def perfect_fractional_graphs(draw, max_n: int = 12):
         )
     )
     return g.with_weights(weights)
-
-
-def counting_searches(mp: pytest.MonkeyPatch) -> list:
-    """Record in the returned list each graph ``core.game_worth`` searches."""
-    searched = []
-
-    def counting(h):
-        searched.append(h)
-        return game_worth(h)
-
-    mp.setattr(core_module, "game_worth", counting)
-    return searched
 
 
 class TestCertifiedWorth:

@@ -30,7 +30,7 @@ from cliquecore.core import certified_worth
 from cliquecore.lp import certify_optimum, first_uncovered
 
 import _bruteforce as bf
-from conftest import fractional_graphs, graphs, random_graph
+from conftest import counting_searches, fractional_graphs, graphs, random_graph
 
 F = Fraction
 
@@ -557,13 +557,15 @@ class TestIntegralCoverOnPerfectGraphs:
         + [(spec, seed, co) for spec in ("chordal:30", "bipartite:30") for seed in (1, 2, 3)
            for co in (False, True)],
     )
-    def test_cover_is_integral(self, spec, seed, complemented):
+    def test_cover_is_integral(self, spec, seed, complemented, monkeypatch):
         g = weighted_spec(spec, seed)
         if complemented:
             g = complement(g)
         primal, dual = solve_game(g, maximal_cliques(g))
         assert is_integral(dual.y)
+        searched = counting_searches(monkeypatch)
         assert certified_worth(g, primal) == dual.value
+        assert searched == []  # the LP's own optimum proves the worth
 
     @pytest.mark.parametrize("spec,seed", [("chordal:30", 14), ("chordal:30", 24),
                                            ("bipartite:30", 28)])
@@ -575,13 +577,15 @@ class TestIntegralCoverOnPerfectGraphs:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("spec,limit", [("bipartite:100", 1.0), ("chordal:200", 1.0)])
-def test_large_perfect_graphs_solve_and_prove_the_worth(spec, limit):
+def test_large_perfect_graphs_solve_and_prove_the_worth(spec, limit, monkeypatch):
     g = from_spec(spec, seed=7)
     cs = maximal_cliques(g)
     start = time.perf_counter()
     primal, dual = solve_game(g, cs)
     assert time.perf_counter() - start < limit
+    searched = counting_searches(monkeypatch)
     assert certified_worth(g, primal) == dual.value
+    assert searched == []
     assert is_integral(dual.y)
 
 

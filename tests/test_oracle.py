@@ -203,6 +203,9 @@ class TestFourProgramChain:
             four_program_chain(paley3x3(), [F(1, 2)] * 9)
         with pytest.raises(ValueError, match="chain weights must be 0 or 1"):
             four_program_chain(c5, [1.9] * 5)
+        # A negative weight is refused by WeightedGraph.with_weights first.
+        with pytest.raises(ValueError, match="negative weight -1 at vertex 0"):
+            four_program_chain(k3, [-1, 0, 0])
 
     @given(graphs(max_n=7, max_weight=1))
     @settings(max_examples=40, deadline=None)
