@@ -244,8 +244,8 @@ def cmd_corpus(args) -> int:
     if args.count < 0:
         raise _InputError(f"--count must be >= 0, got {clip(str(args.count))}")
     if args.n > oracle.MAX_CHAIN_N:
-        # Every instance runs the four-program chain; refuse before drawing
-        # the corpus, whose cover searches can run for minutes above it.
+        # Every instance runs the four-program chain, which has this guard;
+        # refuse before drawing the corpus rather than on its first instance.
         raise GuardError(f"corpus instances capped at --n <= {oracle.MAX_CHAIN_N}")
     instances = corpus_mod.build_corpus(
         count=args.count,

@@ -39,6 +39,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .cliques import CliqueSet
+from .errors import GuardError
 from .graph import WeightedGraph, fraction_str, to_int_scale
 
 ZERO = Fraction(0)
@@ -356,6 +357,11 @@ def build_clique_cover_lp(
     )
 
 
+#: Tableau cells, n * (n + m + 1) for n vertices and m maximal cliques,
+#: above which :func:`solve_game` raises GuardError instead of pivoting.
+MAX_TABLEAU_CELLS = 150_000
+
+
 def solve_game(g: WeightedGraph, cliques: CliqueSet) -> tuple[PrimalSolution, DualSolution]:
     """Both game optima from one dual simplex solve of the cover LP.
 
@@ -364,8 +370,13 @@ def solve_game(g: WeightedGraph, cliques: CliqueSet) -> tuple[PrimalSolution, Du
     complementary basic solution, read off the surplus columns; both are
     certified exactly inside :func:`solve_general` (``y >= 0``, every
     vertex covered, ``x`` feasible, ``sum(y) == w.x``).  The pivot rules
-    are deterministic, so the same input gives the same vertex.
+    are deterministic, so the same input gives the same vertex.  A tableau
+    of more than :data:`MAX_TABLEAU_CELLS` cells raises GuardError before
+    it is built.
     """
+    cells = g.n * (g.n + len(cliques) + 1)
+    if cells > MAX_TABLEAU_CELLS:
+        raise GuardError(f"game LP capped at {MAX_TABLEAU_CELLS} tableau cells, needs {cells}")
     res = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
     if res.status != "optimal":
         raise RuntimeError(f"the stable-set LP must be solvable, got {res.status}")

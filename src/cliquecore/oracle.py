@@ -1,10 +1,12 @@
 """Exact combinatorial ground truth, independent of the LP solver.
 
-Everything here is search over bitmasks with admissible pruning; nothing
-consults the simplex code, so agreement between the two routes (tested
-throughout the suite) is meaningful evidence rather than circularity.
-In particular the integral clique-cover search never uses the fractional
-optimum as a bound: a solver bug must not be able to mask itself.
+Everything here is search over bitmasks with admissible pruning, so
+agreement with the simplex code (tested throughout the suite) is
+meaningful evidence rather than circularity.  The one function here that
+calls the LP is :func:`four_program_chain`, and it does so to compare the
+LP optimum against the two searches.  In particular the integral
+clique-cover search never uses the fractional optimum as a bound: a
+solver bug must not be able to mask itself.
 
 One stable-set search answers both the maximum-weight stable set and the
 cost of any scenario, the latter on the graph itself with its candidates
@@ -73,7 +75,7 @@ def max_weight_stable_set(g: WeightedGraph) -> StableSetResult:
     Ties are broken toward the lexicographically smallest member list, so
     the result is reproducible byte for byte.  See :func:`_best_stable_set`.
     """
-    best, members = _best_stable_set(g, (1 << g.n) - 1)
+    best, members = _best_stable_set(g.adj, g.scaled_weights[1], (1 << g.n) - 1, 0)
     return StableSetResult(
         members=mask_to_scenario(members), total_cost=Fraction(best, g.scaled_weights[0])
     )
@@ -88,13 +90,18 @@ def cost(g: WeightedGraph, scenario: Iterable[int]) -> Fraction:
     scenario, not to g.
     """
     s = make_scenario(scenario, g.n)
-    return Fraction(_best_stable_set(g, scenario_mask(s))[0], g.scaled_weights[0])
+    best = _best_stable_set(g.adj, g.scaled_weights[1], scenario_mask(s), 0)[0]
+    return Fraction(best, g.scaled_weights[0])
 
 
-def _best_stable_set(g: WeightedGraph, within: int) -> tuple[int, int]:
-    """The best stable set of g inside the vertex mask ``within``: its
-    weight scaled by the weights' common denominator
-    (``WeightedGraph.scaled_weights``) and its member mask.
+def _best_stable_set(
+    adj: Sequence[int], w: Sequence[int], within: int, beat: int
+) -> tuple[int, int]:
+    """The heaviest stable set inside the vertex mask ``within`` of the
+    graph with adjacency masks ``adj`` and int weights ``w``, if it weighs
+    more than ``beat``: its weight and its member mask, else ``beat`` and
+    0.  Only the weights of vertices in ``within`` are read, and they must
+    be nonnegative.
 
     One depth-first search.  It branches on the lowest candidate, taking
     it before skipping it, so it visits the stable sets in lexicographic
@@ -106,9 +113,7 @@ def _best_stable_set(g: WeightedGraph, within: int) -> tuple[int, int]:
     first optimum always can until it is reached.
     """
     check_stable_set_size(within.bit_count())
-    adj = g.adj
-    w = g.scaled_weights[1]
-    best = best_members = 0
+    best, best_members = beat, 0
 
     def weight_of(mask: int) -> int:
         total = 0
@@ -160,106 +165,54 @@ def subset_cost_table(g: WeightedGraph) -> list[int]:
 def min_integral_clique_cover_value(g: WeightedGraph, cliques: CliqueSet | None = None) -> int:
     """Minimum total multiplicity of maximal cliques covering each vertex's
     integral demand, its weight in ``g``: min sum_Q y_Q with y integral
-    >= 0 and sum_{Q contains v} y_Q >= w_v.  A fractional weight raises
-    ValueError.
+    >= 0 and sum_{Q contains v} y_Q >= w_v.  Fractional weights raise
+    ValueError; ``cliques`` (those of ``g``) is enumerated when not given.
 
-    Exact depth-first search.  Admissible lower bound: demands summed over
-    a greedily chosen stable set (a clique meets a stable set in at most
-    one vertex, so those demands can never share a unit).  Multiplicities
-    per clique never need to exceed the largest demand.  ``cliques``, the
-    maximal cliques of ``g``, is enumerated when not given.
+    Iterative deepening: the first total that admits a cover, counting up
+    from the heaviest stable set of the demands.  A clique meets a stable
+    set in at most one vertex, so that is a lower bound (the optimum on a
+    perfect graph: Lovasz 1972), as it is for the deficits left below.
     """
     if g.n > MAX_COVER_N:
         raise GuardError(f"integral cover search capped at n <= {MAX_COVER_N}")
     for v, x in enumerate(g.weights):
         if x.denominator != 1:
             raise ValueError(f"integral cover needs integer weights, got {x} at {v}")
-    demand = [x.numerator for x in g.weights]
-    if g.n == 0 or max(demand) == 0:
-        return 0
-
     cs = maximal_cliques(g) if cliques is None else cliques
-    masks = cs.masks
     containing = cs.member_index
-    max_mult = max(demand)
-    adj = g.adj
 
-    def stable_set_bound(deficit: list[int]) -> int:
-        order = sorted(
-            (v for v in range(g.n) if deficit[v] > 0),
-            key=lambda v: (-deficit[v], v),
-        )
-        picked_mask = 0
-        bound = 0
-        for v in order:
-            if adj[v] & picked_mask:
-                continue
-            picked_mask |= 1 << v
-            bound += deficit[v]
-        return bound
+    def cover(deficit: list[int], budget: int) -> bool:
+        # Most constrained open vertex: fewest cliques, then lowest id.
+        open_vertices = [u for u, d in enumerate(deficit) if d > 0]
+        v = min(open_vertices, key=lambda u: (len(containing[u]), u), default=None)
+        return v is None or spread(deficit, v, 0, budget)
 
-    # Greedy initial cover: always a valid upper bound.
-    deficit = demand[:]
-    greedy_total = 0
-    while True:
-        open_mask = 0
-        for v in range(g.n):
-            if deficit[v] > 0:
-                open_mask |= 1 << v
-        if open_mask == 0:
-            break
-        cid = max(range(len(cs)), key=lambda c: ((masks[c] & open_mask).bit_count(), -c))
-        greedy_total += 1
-        for v in cs.cliques[cid]:
-            if deficit[v] > 0:
-                deficit[v] -= 1
-    best = greedy_total
+    def spread(deficit: list[int], v: int, first: int, budget: int) -> bool:
+        # v's next units go to one of its cliques from index ``first`` on.
+        # Prune when a stable set of the deficits left outweighs the budget
+        # left; a unit lowers that bound by at most 1 and spends 1, so the
+        # first failing count ends the loop.  The last clique takes the rest.
+        if deficit[v] <= 0:
+            return cover(deficit, budget)
+        for idx in range(first, len(containing[v])):
+            members = cs.masks[containing[v][idx]]
+            step = deficit[v] if idx == len(containing[v]) - 1 else 1
+            rest, left = deficit, budget
+            while rest[v] > 0:
+                rest = [d - step if members >> u & 1 else d for u, d in enumerate(rest)]
+                left -= step
+                within = sum(1 << u for u, d in enumerate(rest) if d > 0)
+                if _best_stable_set(g.adj, rest, within, left)[0] > left:
+                    break
+                if spread(rest, v, idx + 1, left):
+                    return True
+        return False
 
-    deficit = demand[:]
-    counts = [0] * len(cs)
-
-    def dfs(total: int):
-        nonlocal best
-        bound = stable_set_bound(deficit)
-        if bound == 0:
-            if total < best:
-                best = total
-            return
-        if total + bound >= best:
-            return
-        # Most constrained open vertex: fewest cliques, then smallest id.
-        v = min(
-            (u for u in range(g.n) if deficit[u] > 0),
-            key=lambda u: (len(containing[u]), u),
-        )
-        dv = deficit[v]
-
-        def distribute(idx: int, remaining: int):
-            if remaining == 0:
-                dfs(total + dv)
-                return
-            if idx == len(containing[v]):
-                return
-            cid = containing[v][idx]
-            room = max_mult - counts[cid]
-            cap = min(remaining, room)
-            # Last clique must absorb the remainder or the branch dies.
-            lo = remaining if idx == len(containing[v]) - 1 else 0
-            for amount in range(lo, cap + 1):
-                if amount:
-                    counts[cid] += amount
-                    for u in cs.cliques[cid]:
-                        deficit[u] -= amount
-                distribute(idx + 1, remaining - amount)
-                if amount:
-                    counts[cid] -= amount
-                    for u in cs.cliques[cid]:
-                        deficit[u] += amount
-
-        distribute(0, dv)
-
-    dfs(0)
-    return best
+    demand = [x.numerator for x in g.weights]
+    target = _best_stable_set(g.adj, demand, (1 << g.n) - 1, 0)[0]
+    while not cover(demand, target):
+        target += 1
+    return target
 
 
 def four_program_chain(

@@ -269,6 +269,22 @@ class TestGuardBeforeWork:
         assert err == expected
         assert err.startswith("guard: ")
 
+    def test_tableau_guard_before_pivoting(self, capsys, tmp_path):
+        # The complete 10-partite graph with parts of 3 passes the n <= 30
+        # guard, but its 3^10 = 59,049 maximal cliques make a tableau of
+        # 30 * (30 + 59,049 + 1) cells: refused after enumeration, before
+        # the first pivot.
+        parts = WeightedGraph.from_edges(
+            30, [(u, v) for u in range(30) for v in range(u + 1, 30) if u // 3 != v // 3]
+        )
+        path = tmp_path / "multipartite.graph"
+        path.write_text(serialize_graph(parts))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "guard: game LP capped at 150000 tableau cells, needs 1772400\n"
+
     def test_max_n_overrides_the_ceiling(self, capsys):
         n = DEFAULT_MAX_N + 1
         argv = ("cliques", "--generate", f"path:{n}")

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquecore import (
+    GuardError,
     LinearProgram,
+    WeightedGraph,
     build_clique_cover_lp,
     build_stable_set_lp,
     complement,
@@ -613,6 +615,19 @@ class TestOneSimplexPerGame:
     def test_four_program_chain(self, simplex_calls, paley):
         four_program_chain(paley, [1] * paley.n)
         assert len(simplex_calls) == 1
+
+
+class TestTableauGuard:
+    def test_refused_before_the_first_pivot(self, monkeypatch):
+        # The complete 8-partite graph with parts of 3 (K_{8x3}) has 3^8
+        # maximal cliques: 24 * (24 + 3^8 + 1) = 158,064 cells, over the cap.
+        g = WeightedGraph.from_edges(
+            24, [(u, v) for u in range(24) for v in range(u + 1, 24) if u // 3 != v // 3]
+        )
+        cs = maximal_cliques(g)
+        monkeypatch.setattr(lp_module, "_dual_simplex", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(GuardError, match="capped at 150000 tableau cells, needs 158064"):
+            solve_game(g, cs)
 
 
 class TestFirstUncovered:

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cliquecore
 from cliquecore import (
     GuardError,
     WeightedGraph,
+    complete,
     cost,
+    cycle,
     four_program_chain,
     max_weight_stable_set,
     maximal_cliques,
@@ -155,6 +163,10 @@ class TestIntegralCliqueCover:
 
     @given(graphs(max_n=6, max_weight=3))
     @settings(max_examples=40, deadline=None)
+    # Stable set 6, cover 8: the search deepens through three targets.
+    @example(cycle(5).with_weights([3] * 5))
+    # 2,000 units on one clique, more than the recursion limit.
+    @example(complete(3).with_weights([2000] * 3))
     def test_matches_exhaustive_multiplicity_scan(self, g):
         if g.n == 0:
             return
@@ -166,6 +178,33 @@ class TestIntegralCliqueCover:
         # demands 1,2,1 over cliques {0,1} and {1,2}: one unit each suffices
         assert min_integral_clique_cover_value(path3.with_weights([1, 2, 1])) == 2
         assert bf.min_clique_cover_value(path3, [1, 2, 1]) == 2
+
+    def test_perfect_corpora_finish_at_the_stable_set_bound(self):
+        # On a perfect graph the minimum integral cover is the heaviest
+        # stable set (Lovasz 1972).  These corpora include instances that
+        # take seconds to minutes under weaker bounds; the sweep runs in a
+        # child process so that a slow search fails on the timeout instead
+        # of hanging the suite.
+        script = textwrap.dedent(
+            """
+            from cliquecore import max_weight_stable_set, min_integral_clique_cover_value
+            from cliquecore.corpus import build_corpus
+
+            instances = [build_corpus(33, seed=1, n_max=14)[32]]
+            for seed in range(1, 6):
+                instances += build_corpus(200, seed=seed, n_max=16)
+            for inst in instances:
+                value = min_integral_clique_cover_value(inst.graph, inst.cliques)
+                assert value == max_weight_stable_set(inst.graph).total_cost, inst
+            print(len(instances))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cliquecore.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1001\n"
 
 
 class TestFourProgramChain:
