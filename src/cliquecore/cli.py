@@ -277,7 +277,8 @@ def cmd_corpus(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, and building it (about 2 ms) would otherwise be a fixed
-    cost of every in-process ``main`` call."""
+    cost of every in-process ``main`` call.  ``verbs`` maps each verb to
+    its subparser."""
     parser = _Parser(
         prog="cliquecore",
         description="Exact core imputations for the investment game on perfect graphs",
@@ -328,13 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="append odd cycles; their integrality gaps are reported, not errors",
     )
     p.set_defaults(func=cmd_corpus)
+    parser.verbs = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # A known verb goes straight to the subparser the top-level parser
+        # would run; anything else (no verb, --help, ...) goes through it.
+        verb = parser.verbs.get(argv[0]) if argv else None
+        args = verb.parse_args(argv[1:]) if verb else parser.parse_args(argv)
         return args.func(args)
     except (GraphParseError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

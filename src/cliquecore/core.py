@@ -51,21 +51,38 @@ VERDICT_NOT_IMPUTATION = "not-an-imputation"
 
 @dataclass(frozen=True)
 class Imputation:
-    """Nonnegative money per maximal clique, indexed by clique id."""
+    """Nonnegative money per maximal clique, indexed by clique id.
+
+    The checkers read the amounts as ints over a common denominator
+    (``scaled``).  An imputation read from a mapping (:meth:`from_mapping`)
+    is built from those ints, and its ``values`` only when first read.
+    """
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for cid, a in enumerate(self.scaled[1]):
+        scale, amounts = self.scaled
+        for cid, a in enumerate(amounts):
             if a < 0:
-                raise ValueError(f"negative money {clip(str(self.values[cid]))} on clique {cid}")
+                amount = clip(fraction_str(Fraction(a, scale)))
+                raise ValueError(f"negative money {amount} on clique {cid}")
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The values as ints over their common denominator D: ``(D, ints)``
+        """The values as ints over a common denominator D: ``(D, ints)``
         (see ``graph.to_int_scale``), computed once per imputation."""
         scale, ints = to_int_scale(self.values)
         return scale, tuple(ints)
+
+    def __getattr__(self, name: str):
+        # Reached only for ``values`` of an imputation from ``from_mapping``,
+        # which starts from its ints alone.
+        if name != "values" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        scale, amounts = self.scaled
+        values = tuple([Fraction(a, scale) for a in amounts])
+        self.__dict__["values"] = values
+        return values
 
     @property
     def total(self) -> Fraction:
@@ -76,15 +93,23 @@ class Imputation:
     def from_mapping(
         cls, cliques: CliqueSet, mapping: Mapping[str, Fraction | int]
     ) -> "Imputation":
-        """Build from {canonical clique key: amount}; unknown keys raise KeyError.
-        Cliques absent from the mapping hold zero."""
-        values = [ZERO] * len(cliques)
+        """Build from {canonical clique key: int or Fraction amount}; unknown
+        keys raise KeyError.  Cliques absent from the mapping hold zero.  The
+        amounts are summed as ints over their common denominator."""
+        given = []
         for key, amount in mapping.items():
             cid = cliques.key_to_id.get(key)
             if cid is None:
                 raise KeyError(f"{clip(repr(key))} is not a maximal clique of this graph")
-            values[cid] += Fraction(amount)
-        return cls(values=tuple(values))
+            given.append((cid, amount))
+        scale = math.lcm(*[a.denominator for _, a in given])
+        amounts = [0] * len(cliques)
+        for cid, a in given:
+            amounts[cid] += a.numerator * (scale // a.denominator)
+        imputation = cls.__new__(cls)
+        imputation.__dict__["scaled"] = scale, tuple(amounts)
+        imputation.__post_init__()
+        return imputation
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:
         return {
@@ -133,9 +158,9 @@ class CoreReport:
 
 
 def _check_length(cliques: CliqueSet, imputation: Imputation) -> None:
-    if len(imputation.values) != len(cliques):
+    if len(imputation.scaled[1]) != len(cliques):
         raise ValueError(
-            f"imputation indexes {len(imputation.values)} cliques, graph has {len(cliques)}"
+            f"imputation indexes {len(imputation.scaled[1])} cliques, graph has {len(cliques)}"
         )
 
 
@@ -239,8 +264,8 @@ class CertificateChecker:
 
     Building one checker computes the worth once, by its own branch and
     bound (:func:`game_worth`; :class:`ExhaustiveChecker` runs another and
-    cross-checks it against its cost table, so neither verifier reads the
-    other's number).  ``check`` leaves the length and totality checks to
+    cross-checks it against its scan, so neither verifier reads the other's
+    number).  ``check`` leaves the length and totality checks to
     :func:`_verdict` and finds the first uncovered vertex from the
     imputation's int scaling (``Imputation.scaled``) and the weights'
     (``WeightedGraph.scaled_weights``).
@@ -290,32 +315,15 @@ def _chunk_fields(width: int, fields: int) -> int:
     return min(fields, 1 << max(0, (CHUNK_BYTES // width).bit_length() - 1))
 
 
-def _ones(width: int, count: int) -> int:
-    """``count`` packed fields of ``width`` bytes, each holding 1."""
-    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
-
-
-def _fields(count: int, avoid: int, unit: bytes) -> bytes:
-    """``count`` packed fields (a power of two) as little-endian bytes:
-    field i holds ``unit`` when ``i & avoid == 0`` and zero otherwise."""
-    out = unit
-    bit = 1
-    while bit < count:
-        out += bytes(len(out)) if avoid & bit else out
-        bit <<= 1
+def _fields(count: int, avoid: int, value: int, bits: int) -> int:
+    """``count`` packed fields (a power of two) of ``bits`` bits: field i
+    holds ``value`` when ``i & avoid == 0`` and zero otherwise."""
+    out, size = value, 1
+    while size < count:
+        if not avoid & size:
+            out |= out << size * bits
+        size <<= 1
     return out
-
-
-def _widen(packed: int, count: int, width: int, wider: int) -> int:
-    """``count`` packed fields of ``width`` bytes moved into fields of
-    ``wider`` bytes."""
-    if width == wider:
-        return packed
-    narrow = packed.to_bytes(count * width, "little")
-    out = bytearray(count * wider)
-    for byte in range(width):
-        out[byte::wider] = narrow[byte::width]
-    return int.from_bytes(out, "little")
 
 
 class _Packed:
@@ -325,7 +333,6 @@ class _Packed:
     every aligned run of up to ``chunk`` fields lies in one int."""
 
     def __init__(self, width: int, chunk: int):
-        self.width = width
         self.bits = 8 * width
         self.chunk = chunk
         self.ints = [0]
@@ -361,34 +368,38 @@ class ExhaustiveChecker:
     one is reported, so counterexamples are deterministic and diffable.
     ``check`` leaves the length and totality checks to :func:`_verdict`;
     the scan works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
-    ints: costs scaled by the weights' common denominator ``scale``
-    (``WeightedGraph.scaled_weights``), money by the least common multiple
-    of ``scale`` and the imputation's denominator (``Imputation.scaled``).
-    For T below 2^v, money(T + {v}) is money(T) plus the money of the
-    firms at v that miss T.
+    ints over the least common multiple of the weights' common denominator
+    ``scale`` (``WeightedGraph.scaled_weights``) and the imputation's
+    (``Imputation.scaled``).  For T below 2^v, money(T + {v}) is money(T)
+    plus the money of the firms at v that miss T.
 
-    Costs and money are packed side by side in wide ints, one fixed-width,
+    No cost table is built: money(S) is compared with need(S), the weight
+    of the vertices of S with no lower neighbour in S, so need(T + {v}) is
+    need(T) + w_v when T misses v's neighbours, else need(T).  Those
+    vertices are stable, so need <= cost, with equality on stable S.  The
+    first violation is the same under need as under cost:
+
+    - let S be the first scenario with money(S) < cost(S), I its heaviest
+      stable subset: money(I) <= money(S) < w(I) = cost(I), I <= S as a
+      mask, so I = S; there need = cost, so S is the first failure under
+      need too, as every failure under need is one under cost.
+
+    Money and need are packed side by side in wide ints, one fixed-width,
     byte-aligned field per scenario, each with a guard bit above its value
     ("SIMD within a register": Lamport, CACM 1975; Knuth, TAOCP 4A 7.1.3).
-    No cost or money of a scan exceeds the scaled worth, which fixes the
-    widths, so a block takes a fixed number of whole-int operations:
-    masked shifts, one subtraction to compare every field at once.  Blocks
-    longer than :data:`CHUNK_BYTES` are cut into chunks.  Before anything
-    is allocated, a check whose table and money fields would take more
-    than ``oracle.MAX_EXHAUSTIVE_BYTES`` raises GuardError.
-
-    The subset cost table (see ``oracle.subset_cost_table``; entries read
-    by :meth:`scaled_cost`) starts with the empty set's 0 and grows by one
-    block the first time any check reaches that block; later checks on the
-    same checker reuse it.  Each block is compared with its costs before
-    the next is built, so a violation in an early scenario costs only the
-    blocks below it.
+    No money or need of a scan exceeds the worth, which fixes the width, so
+    a block takes a fixed number of whole-int operations: masked pattern
+    adds, one subtraction to compare every field at once.  Blocks longer
+    than :data:`CHUNK_BYTES` are cut into chunks, and the scan stops at the
+    first violated block.  Before anything is allocated, a check whose
+    fields would take more than ``oracle.MAX_EXHAUSTIVE_BYTES`` raises
+    GuardError.
 
     The worth comes from its own branch and bound (:func:`game_worth`), as
-    in :class:`CertificateChecker`.  The table's last entry is the same
-    number, so the check that completes the table compares the two and
-    raises RuntimeError if they differ, as it does for any entry above the
-    worth: every in-core verdict is cross-checked against the definition.
+    in :class:`CertificateChecker`.  Every need is the weight of a stable
+    set and every stable set's weight is a need, so RuntimeError is raised
+    when a need exceeds the worth or a completed scan meets none equal to
+    it: every in-core verdict also proves the worth by definition.
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
@@ -398,86 +409,27 @@ class ExhaustiveChecker:
         self.scale = g.scaled_weights[0]
         self.worth = game_worth(g)
         self.scaled_worth = math.ceil(self.worth * self.scale)
-        width = _field_bytes(self.scaled_worth)
-        self._table = _Packed(width, _chunk_fields(width, 1 << g.n))
-
-    @property
-    def table_entries(self) -> int:
-        """How many cost-table entries are built: a power of two."""
-        return self._table.size
-
-    def scaled_cost(self, mask: int) -> int:
-        """Cost-table entry of the scenario ``mask``: ``scale`` times its
-        cost.  Only built entries can be read."""
-        return self._table.get(mask, 1)
-
-    def _worth_error(self, entry: int, exact: bool) -> RuntimeError:
-        """The table's worth, its last entry, is ``entry`` (or at least
-        ``entry`` when not ``exact``) and differs from the worth."""
-        return RuntimeError(
-            f"cost table worth {'' if exact else 'at least '}"
-            f"{fraction_str(Fraction(entry, self.scale))}"
-            f" != branch-and-bound worth {fraction_str(self.worth)}"
-        )
-
-    def _extend_cost_table(self) -> None:
-        """Build block ``[2^v, 2^(v+1))`` of the cost table: each set there
-        skips v or takes v and drops v's neighbours."""
-        g, table = self.g, self._table
-        half = table.size
-        v = half.bit_length() - 1
-        wv = g.scaled_weights[1][v]
-        if wv > self.scaled_worth:
-            raise self._worth_error(wv, False)
-        width, bits = table.width, table.bits
-        step = min(half, table.chunk)
-        keep = ~g.adj[v] & (half - 1)
-        ones = _ones(width, step)
-        guard = ones << bits - 1
-        add = ones * wv
-        # "take v" reads entry t & keep: the high bits of t pick the source
-        # run, and each neighbour b within a run copies the fields whose
-        # index has bit b clear into the fields 2^b above them.
-        drops = [
-            (bits << b, int.from_bytes(_fields(step, 1 << b, b"\xff" * width), "little"))
-            for b in range(step.bit_length() - 1)
-            if not keep >> b & 1
-        ]
-        for start in range(0, half, step):
-            skip = table.get(start, step)
-            source = start & keep
-            take = skip if source == start else table.get(source, step)
-            for shift, clear in drops:
-                low = take & clear
-                take = low | low << shift
-            take += add
-            if take & guard:
-                raise self._worth_error(1 << bits - 1, False)
-            # max(skip, take): the guard bit survives (skip | guard) - take
-            # exactly in the fields where skip >= take.
-            ge = ((skip | guard) - take) & guard
-            table.append(take ^ ((take ^ skip) & (ge - (ge >> bits - 1))), step)
-        top = table.get(2 * half - 1, 1)  # the largest entry: cost is monotone
-        full = 2 * half == 1 << g.n
-        if top > self.scaled_worth or (full and top != self.scaled_worth):
-            raise self._worth_error(top, full)
+        # Each vertex is a stable set; the packed adds rely on this bound.
+        if max(g.scaled_weights[1], default=0) > self.scaled_worth:
+            raise RuntimeError(
+                f"a vertex outweighs the branch-and-bound worth {fraction_str(self.worth)}"
+            )
 
     def check(self, imputation: Imputation) -> CoreReport:
         return _verdict(self, imputation)
 
     def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
-        n = self.g.n
+        g, n = self.g, self.g.n
         money_scale, amounts = imputation.scaled
-        # Money is held in units of 1/unit, unit = lcm(scale, money_scale),
-        # and costs in units of 1/scale, so money >= cost compares money to
-        # (unit / scale) * cost.  The total is the worth, so no money or
-        # need exceeds that multiple of the scaled worth.
+        # Money and need are held in units of 1/unit, unit = lcm(scale,
+        # money_scale).  The total is the worth and every need the weight of
+        # a stable set, so no field exceeds ``top``, the worth in those units.
         common = math.gcd(self.scale, money_scale)
         need_scale = money_scale // common
         unit = self.scale * need_scale
-        width = _field_bytes(need_scale * self.scaled_worth)
-        table_width = self._table.width
-        needed = (table_width << n) + (width << n >> 1)
+        top = need_scale * self.scaled_worth
+        width = _field_bytes(top)
+        needed = width << n  # 2^(n-1) money fields and as many need fields
         if needed > oracle.MAX_EXHAUSTIVE_BYTES:
             raise GuardError(
                 f"exhaustive scenario check needs {needed} bytes,"
@@ -489,22 +441,29 @@ class ExhaustiveChecker:
             for cmask, a in zip(self.cliques.masks, amounts)
             if a
         ]
-        money = _Packed(width, _chunk_fields(width, 1 << n))  # of every scenario below 2^v
+        chunk = _chunk_fields(width, 1 << n)
+        money, need = _Packed(width, chunk), _Packed(width, chunk)  # below 2^v
         bits = money.bits
-        for v in range(n):
+        field = ~(-1 << bits)
+        ones, size = 1, 1  # ``size`` fields, each holding 1
+        reached = not top  # a need equal to the worth met
+        for v, wv in enumerate(g.scaled_weights[1]):
             half = 1 << v
-            if self._table.size == half:
-                self._extend_cost_table()
             firms: dict[int, int] = {}
             for cmask, a in live:
                 if cmask >> v & 1:
                     low = cmask & (half - 1)
                     firms[low] = firms.get(low, 0) + a
-            step = min(half, money.chunk)
-            guard = _ones(width, step) << bits - 1
-            # The firms at v that miss T, for T in a run: the high bits of
-            # their vertices below v miss the run's start, the low bits are
-            # a fixed pattern within the run.
+            step = min(half, chunk)
+            if size < step:
+                ones, size = ones | ones << size * bits, step
+            guard = ones << bits - 1
+            # The firms at v that miss T, for T in a run, and whether T
+            # misses v's neighbours: the high bits of their vertices below v
+            # miss the run's start, the low bits are a fixed pattern within
+            # the run.
+            lower = g.adj[v] & (half - 1)
+            add = _fields(step, lower & (step - 1), wv * need_scale, bits)
             patterns: dict[tuple[int, int], int] = {}
             for start in range(0, half, step):
                 block = money.get(start, step)
@@ -512,26 +471,42 @@ class ExhaustiveChecker:
                     if not low & start:
                         key = (low & (step - 1), a)
                         if key not in patterns:
-                            patterns[key] = int.from_bytes(
-                                _fields(step, key[0], a.to_bytes(width, "little")), "little"
-                            )
+                            patterns[key] = _fields(step, key[0], a, bits)
                         block += patterns[key]
-                need = _widen(self._table.get(half + start, step), step, table_width, width)
-                if need_scale != 1:
-                    need *= need_scale
-                # The guard bit of a field is cleared where money < need.
-                short = ((block | guard) - need) & guard ^ guard
-                if short:
+                cost = need.get(start, step)
+                if not lower & start:
+                    cost += add
+                # Money covered need in every block before, so here need -
+                # money <= w_v <= worth: no field borrows from the next, and
+                # the guard bit is cleared exactly where money < need, as it
+                # is for every need above the worth (money <= worth).
+                covered = ((block | guard) - cost) & guard
+                if covered != guard:
+                    if ((ones * top | guard) - cost) & guard != guard:
+                        raise RuntimeError(
+                            "a stable set outweighs the branch-and-bound worth "
+                            + fraction_str(self.worth)
+                        )
+                    short = covered ^ guard
                     i = ((short & -short).bit_length() - 1) // bits
                     bad = half + start + i
                     violation = Violation(
                         scenario=mask_to_scenario(bad),
-                        money=Fraction(block >> i * bits & ~(-1 << bits), unit),
-                        cost=Fraction(self.scaled_cost(bad), self.scale),
+                        money=Fraction(block >> i * bits & field, unit),
+                        cost=Fraction(cost >> i * bits & field, unit),
                     )
                     return violation, bad + 1
                 if v < n - 1:
                     money.append(block, step)
+                    need.append(cost, step)
+                elif not reached:
+                    # need(T + {v}) >= need(T): the top block holds the largest
+                    # need.  Adding guard - worth sets the guard bit where equal.
+                    reached = bool((cost + ones * ((1 << bits - 1) - top)) & guard)
+        if not reached:
+            raise RuntimeError(
+                f"no stable set reaches the branch-and-bound worth {fraction_str(self.worth)}"
+            )
         return None, 1 << n
 
 

@@ -212,14 +212,14 @@ def induced_subgraph(
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:
-    """Complement graph: adjacency inverted off the diagonal, weights kept."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return WeightedGraph.from_edges(g.n, edges, g.weights, g.labels)
+    """Complement graph: adjacency inverted off the diagonal, weights kept.
+    Its edges are canonical by construction, so it is built directly."""
+    full = (1 << g.n) - 1
+    adj = tuple([full & ~a & ~(1 << u) for u, a in enumerate(g.adj)])
+    edges = tuple([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if adj[u] >> v & 1])
+    h = WeightedGraph(n=g.n, edges=edges, weights=g.weights, labels=g.labels)
+    h.__dict__["adj"] = adj  # the cached property, filled in
+    return h
 
 
 def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:

@@ -3,12 +3,13 @@
 Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
 cross-check, not circular.  Only usable for small n.  ``simplex_max``,
-``smallest_odd_hole`` and ``certify_optimum`` are kept as slow references
-to code the library replaced: the two-phase Fraction simplex before its
-dual simplex on the cover LP (now a value oracle for any LP), the subset
-scan before its chordless-path odd-hole search, and the Fraction
-optimality certificate before its int one (it shares the library's cover
-check ``first_uncovered``, which has tests of its own).
+``smallest_odd_hole``, ``certify_optimum`` and ``best_stable_set_by_sum``
+are kept as slow references to code the library replaced: the two-phase
+Fraction simplex before its dual simplex on the cover LP (now a value
+oracle for any LP), the subset scan before its chordless-path odd-hole
+search, the Fraction optimality certificate before its int one (it
+shares the library's cover check ``first_uncovered``, which has tests of
+its own), and the stable-set search before its clique-partition bound.
 ``dual_simplex_max`` is the Fraction form of the library's dual simplex,
 making the same choices.
 """
@@ -218,6 +219,27 @@ def is_bipartite(g) -> bool:
                     elif color[u] == color[v]:
                         return False
     return True
+
+
+def best_stable_set_by_sum(adj, w, within: int, beat: int) -> tuple[int, int]:
+    """``oracle._best_stable_set`` with its earlier bound, the sum of the
+    remaining candidates' weights: same branching, so the same (weight,
+    member mask), ties included."""
+    best, best_members = beat, 0
+
+    def search(cur: int, members: int, cand: int):
+        nonlocal best, best_members
+        if cur > best:
+            best, best_members = cur, members
+        if cand == 0 or cur + sum(w[v] for v in range(len(w)) if cand >> v & 1) <= best:
+            return
+        low = cand & -cand
+        v = low.bit_length() - 1
+        search(cur + w[v], members | low, cand & ~adj[v] & ~low)
+        search(cur, members, cand ^ low)
+
+    search(0, 0, within)
+    return best, best_members
 
 
 def core_by_definition(g, cliques, imputation) -> tuple[bool, tuple | None]:

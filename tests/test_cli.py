@@ -21,7 +21,7 @@ from cliquecore import (
     random_bipartite,
     serialize_graph,
 )
-from cliquecore.cli import main
+from cliquecore.cli import _InputError, build_parser, main
 from cliquecore.graph import DEFAULT_MAX_N
 
 
@@ -143,8 +143,8 @@ class TestVerify:
 
 
 class TestExhaustiveMemoryGuard:
-    """The exhaustive check bounds the bytes of its packed table and
-    money, not n alone."""
+    """The exhaustive check bounds the bytes of its packed money and
+    need, not n alone."""
 
     def test_wide_n22_refused_before_allocating(self, capsys, tmp_path):
         # Weights of 2,000 digits over a 2,000-digit denominator: 2^22
@@ -458,6 +458,46 @@ class TestErrors:
         code, _, err = run(capsys, "solve", "--generate", "torus:4")
         assert code == 1
         assert "unknown generator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--generate", "paley3x3", "--json", "--dump-lp", "out"],
+            ["verify", "--gen", "cycle:5", "imp.json", "--exhaustive", "--max-n", "9"],
+            ["corpus", "--seed", "3", "--count", "2", "--include-imperfect"],
+            ["solve", "--generate", "paley3x3", "--nope"],
+            ["solve", "--generate", "paley3x3", "--", "extra"],
+            ["verify", "--generate", "paley3x3"],
+            ["corpus", "--count", "two"],
+            ["check-perfect", "--max-n"],
+        ],
+    )
+    def test_verb_subparser_parses_as_the_top_level_parser(self, argv):
+        # main hands a known verb's arguments straight to its subparser.
+        def parse(parser, args):
+            try:
+                return vars(parser.parse_args(args))
+            except _InputError as exc:
+                return str(exc)
+
+        parser = build_parser()
+        top = parse(parser, argv)
+        if isinstance(top, dict):
+            assert top.pop("command") == argv[0]
+        assert parse(parser.verbs[argv[0]], argv[1:]) == top
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["--json"], "the following arguments are required: command"),
+            (["solv"], "argument command: invalid choice: 'solv'"),
+        ],
+    )
+    def test_no_known_verb_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
 
     def test_closed_stdout_exits_quietly(self):
         # A pipe whose read end is already closed, as after `| head -1`.

@@ -42,11 +42,16 @@ from cliquecore import (
     verify_core_exhaustive,
 )
 from cliquecore import core as core_module
-from cliquecore.corpus import build_corpus, infeasible_total_vectors, scaled_to_total
+from cliquecore.corpus import (
+    build_corpus,
+    infeasible_total_vectors,
+    random_total_vectors,
+    scaled_to_total,
+)
 from cliquecore.graph import mask_to_scenario
 
 import _bruteforce as bf
-from conftest import counting_searches, graphs
+from conftest import counting_searches, fractional_graphs, graphs
 
 F = Fraction
 
@@ -164,6 +169,18 @@ class TestVerifyCertificate:
         with pytest.raises(KeyError):
             Imputation.from_mapping(cs, {"0-1": 1})
 
+    def test_mapping_amounts_over_mixed_denominators(self, paley_setup):
+        _, cs = paley_setup
+        amounts = {"0-1-2": F(1, 2), "3-4-5": F(2, 3), "6-7-8": 3, "0-3-6": F(5, 6)}
+        imp = Imputation.from_mapping(cs, amounts)
+        values = [F(0)] * len(cs)
+        for key, amount in amounts.items():
+            values[cs.key_to_id[key]] += amount
+        assert imp == Imputation(values=tuple(values))
+        assert imp.total == 5
+        with pytest.raises(ValueError, match="negative money -1/6 on clique 0"):
+            Imputation.from_mapping(cs, {"0-1-2": F(-1, 6), "3-4-5": F(1, 4)})
+
 
 class TestVerifyExhaustive:
     def test_rows_at_one_scans_all_512(self, paley_setup):
@@ -234,7 +251,8 @@ class TestVerifyExhaustive:
 def reference_exhaustive(g, cs, imp, costs):
     """Slow reference for the exhaustive check: every scenario in ascending
     mask order, its money from ``money`` and its cost from ``costs[mask]``
-    (``oracle.cost``), neither of which uses the subset cost table."""
+    (``oracle.cost`` or ``oracle.subset_cost_table``), where the check
+    itself compares money with need and builds no cost table."""
     worth = game_worth(g)
     total = imp.total
     if total != worth:
@@ -299,8 +317,8 @@ class TestExhaustiveAgainstReference:
 
     def test_wide_fields_blocks_span_chunks(self):
         # Weights over a common denominator above 2^1000: every packed
-        # field is over a hundred bytes, so the top block of the cost table
-        # is longer than one chunk.
+        # field is over a hundred bytes, so the top block is longer than
+        # one chunk.
         rng = random.Random(1000)
         verdicts = []
         for n, seed in ((12, 3), (13, 5)):
@@ -325,13 +343,12 @@ class TestExhaustiveAgainstReference:
                 ours = checker.check(imp)
                 assert ours == reference_exhaustive(g, cs, imp, costs), (n, imp)
                 verdicts.append(ours.verdict)
-            assert checker.table_entries == 1 << n
         assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
 
     def test_blocks_cut_into_small_chunks(self, monkeypatch):
         # 16-byte chunks cut every block above a few scenarios, so the
-        # chunked paths (a take read from another chunk, a firm whose
-        # vertices reach above the chunk) run on small graphs.
+        # chunked paths (a neighbour or a firm's vertex above the chunk)
+        # run on small graphs.
         monkeypatch.setattr(core_module, "CHUNK_BYTES", 16)
         rng = random.Random(1616)
         verdicts = []
@@ -361,10 +378,6 @@ class TestExhaustiveAgainstReference:
                 ours = checker.check(imp)
                 assert ours == reference_exhaustive(g, cs, imp, costs), (trial, imp)
                 verdicts.append(ours.verdict)
-            while checker.table_entries < 1 << n:
-                checker._extend_cost_table()
-            table = [checker.scaled_cost(mask) for mask in range(1 << n)]
-            assert table == subset_cost_table(g), trial
         assert {"in-core", "violated", "not-an-imputation"} <= set(verdicts)
 
     def test_one_checker_across_field_widths(self, paley_setup):
@@ -438,28 +451,26 @@ def test_wide_n22_in_core_within_memory():
     assert result["maxrss_mb"] < 500
 
 
-class TestLazyCostTable:
-    """The exhaustive checker builds cost-table blocks only as its scan
-    reaches them, and the full table cross-checks the worth."""
+class TestScanCrossChecks:
+    """The scan compares money with need, which is the cost on every stable
+    set, so a first violation is a stable set with its true cost; and the
+    scan cross-checks the branch-and-bound worth."""
 
-    def test_starved_vector_builds_only_the_blocks_it_reads(self):
+    def test_starved_vector_fails_first_at_a_stable_set(self):
         rng = random.Random(12)
         checked = 0
         for inst in build_corpus(8, seed=41, n_min=8, n_max=12):
             g = inst.graph
             cs = maximal_cliques(g)
-            worth = game_worth(g)
-            for bad in infeasible_total_vectors(g, cs, worth, rng, 3):
-                checker = ExhaustiveChecker(g, cs)
+            checker = ExhaustiveChecker(g, cs)
+            for bad in infeasible_total_vectors(g, cs, checker.worth, rng, 3):
                 report = checker.check(bad)
                 assert report.verdict == "violated"
-                block = max(report.violation.scenario)
-                assert checker.table_entries == 2 ** (block + 1)
+                scenario = report.violation.scenario
+                assert bf.is_stable(g, scenario)
+                assert report.violation.cost == cost(g, scenario)
                 checked += 1
             assert checker.check(compute_core_imputation(g, cs)).in_core
-            assert checker.table_entries == 1 << g.n
-            table = [checker.scaled_cost(mask) for mask in range(1 << g.n)]
-            assert table == subset_cost_table(g)
         assert checked == 24
 
     def test_full_scan_cross_checks_the_worth(self, monkeypatch):
@@ -472,8 +483,54 @@ class TestLazyCostTable:
         assert ExhaustiveChecker(g, cs).check(boosted).verdict == "not-an-imputation"
         worth = game_worth(g)
         monkeypatch.setattr(core_module, "game_worth", lambda h: worth + 1)
-        with pytest.raises(RuntimeError, match="cost table worth"):
+        with pytest.raises(RuntimeError, match="no stable set reaches"):
             ExhaustiveChecker(g, cs).check(boosted)
+
+        # Worths claimed one too low.  Three isolated vertices, worth 3: the
+        # stable set {0, 1, 2} outweighs 2 in the block where {2} is also
+        # violated.  A triangle whose heaviest vertex weighs 3 fails before
+        # any scan.
+        g = WeightedGraph.from_edges(3)
+        cs = maximal_cliques(g)
+        monkeypatch.setattr(core_module, "game_worth", lambda h: game_worth(h) - 1)
+        short = Imputation(values=(F(1), F(1), F(0)))
+        with pytest.raises(RuntimeError, match="a stable set outweighs"):
+            ExhaustiveChecker(g, cs).check(short)
+        with pytest.raises(RuntimeError, match="a vertex outweighs"):
+            h = complete(3).with_weights([1, 3, 1])
+            ExhaustiveChecker(h, maximal_cliques(h))
+
+
+@st.composite
+def graphs_with_odd_holes(draw, max_n: int = 10):
+    """``fractional_graphs``, half of those with n >= 5 made to hold an
+    odd hole on their first 5, 7 or 9 vertices."""
+    g = draw(fractional_graphs(max_n=max_n))
+    if g.n < 5 or not draw(st.booleans()):
+        return g
+    k = draw(st.sampled_from([k for k in (5, 7, 9) if k <= g.n]))
+    edges = [(u, v) for u, v in g.edges if v >= k]
+    edges += [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+    return WeightedGraph.from_edges(g.n, edges, g.weights)
+
+
+class TestExhaustiveAgainstReferenceProperty:
+    @given(graphs_with_odd_holes(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_whole_report_equals_reference(self, g, rng):
+        """The LP dual, starved vectors and random vectors of total worth
+        get the reference's report, violations and all."""
+        cs = maximal_cliques(g)
+        scale = g.scaled_weights[0]
+        costs = [F(c, scale) for c in subset_cost_table(g)]
+        worth = costs[-1]
+        vectors = [Imputation(values=solve_game(g, cs)[1].y)]
+        vectors += infeasible_total_vectors(g, cs, worth, rng, 2)
+        if worth > 0:
+            vectors += random_total_vectors(cs, worth, rng, 2)
+        checker = ExhaustiveChecker(g, cs)
+        for imp in vectors:
+            assert checker.check(imp) == reference_exhaustive(g, cs, imp, costs)
 
 
 @st.composite

@@ -124,6 +124,16 @@ class TestComplement:
     def test_involution(self, g):
         assert complement(complement(g)) == g
 
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_graph_as_through_from_edges(self, g):
+        # complement builds the graph directly, adjacency included
+        comp = complement(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        reference = WeightedGraph.from_edges(g.n, pairs, g.weights, g.labels)
+        assert comp == reference
+        assert comp.adj == reference.adj
+
     def test_complement_of_triangle_is_edgeless(self):
         g = WeightedGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         assert complement(g).edges == ()

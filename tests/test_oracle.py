@@ -23,6 +23,7 @@ from cliquecore import (
     paley3x3,
     subset_cost_table,
 )
+from cliquecore import oracle
 from cliquecore.graph import induced_subgraph, mask_to_scenario, scenario_mask, to_int_scale
 
 import _bruteforce as bf
@@ -66,6 +67,20 @@ class TestMaxWeightStableSet:
         assert res.total_cost == bf.max_stable_value(g)
         assert res.members == min(bf.best_stable_sets(g))
         assert sum((g.weights[v] for v in res.members), F(0)) == res.total_cost
+
+    @given(
+        graphs(max_n=12, max_weight=3),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=12, max_size=12),
+        st.integers(min_value=0, max_value=4095),
+        st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_partition_bound_search_matches_sum_bound_search(self, g, w, within, beat):
+        # Weights 0..3 make ties common; the reference keeps the search's
+        # branching with the earlier bound, so (weight, members) must agree.
+        within &= (1 << g.n) - 1
+        ours = oracle._best_stable_set(g.adj, w, within, beat)
+        assert ours == bf.best_stable_set_by_sum(g.adj, w, within, beat)
 
     def test_zero_weights_give_empty_set(self):
         g = WeightedGraph.from_edges(3, [(0, 1)], [0, 0, 0])
