@@ -63,6 +63,6 @@ print(f"  first failing scenario {list(v.scenario)}:"
 
 # Core imputations are not unique: half a dollar on each of the six firms
 # covers every asset by 1/2 + 1/2 and still totals 3.
-halves = Imputation(values=(Fraction(1, 2),) * 6)
+halves = Imputation.of((Fraction(1, 2),) * 6)
 print("\nhalf on all six firms:",
       verify_core_exhaustive(g, firms, halves).verdict)

@@ -95,14 +95,15 @@ def cmd_solve(args) -> int:
     primal, dual = solve_game(g, cliques)
     worth = certified_worth(g, primal)
     if args.dump_lp:
-        Path(args.dump_lp + ".primal.lp").write_text(
-            lp_format(build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
-            encoding="utf-8",
-        )
-        Path(args.dump_lp + ".dual.lp").write_text(
-            lp_format(build_clique_cover_lp(g.weights, cliques.cliques), "clique-cover"),
-            encoding="utf-8",
-        )
+        for suffix, program, name in (
+            (".primal.lp", build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
+            (".dual.lp", build_clique_cover_lp(g.weights, cliques.cliques), "clique-cover"),
+        ):
+            path = args.dump_lp + suffix
+            try:
+                Path(path).write_text(lp_format(program, name), encoding="utf-8")
+            except OSError as exc:
+                raise _InputError(f"cannot write {path}: {exc}") from exc
     dual_matches = dual.value == worth
     if args.json:
         _emit_json(

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import oracle
 from .cliques import CliqueSet, clique_key, is_clique, maximal_cliques
@@ -51,43 +50,42 @@ VERDICT_NOT_IMPUTATION = "not-an-imputation"
 
 @dataclass(frozen=True)
 class Imputation:
-    """Nonnegative money per maximal clique, indexed by clique id.
+    """Nonnegative money per maximal clique, indexed by clique id, held as
+    ints over one denominator: clique ``cid`` gets ``amounts[cid] / scale``.
 
-    The checkers read the amounts as ints over a common denominator
-    (``scaled``).  An imputation read from a mapping (:meth:`from_mapping`)
-    is built from those ints, and its ``values`` only when first read.
+    The pair is kept in lowest terms, so ``scale`` is the least common
+    denominator of the amounts (as ``graph.to_int_scale`` gives it) and
+    equal money compares equal however the imputation was built.
     """
 
-    values: tuple[Fraction, ...]
+    scale: int
+    amounts: tuple[int, ...]
 
     def __post_init__(self):
-        scale, amounts = self.scaled
-        for cid, a in enumerate(amounts):
+        if self.scale < 1:
+            raise ValueError(f"imputation scale must be positive, got {clip(str(self.scale))}")
+        for cid, a in enumerate(self.amounts):
             if a < 0:
-                amount = clip(fraction_str(Fraction(a, scale)))
+                amount = clip(fraction_str(Fraction(a, self.scale)))
                 raise ValueError(f"negative money {amount} on clique {cid}")
+        common = math.gcd(self.scale, *self.amounts)
+        if common > 1:
+            object.__setattr__(self, "scale", self.scale // common)
+            object.__setattr__(self, "amounts", tuple([a // common for a in self.amounts]))
 
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The values as ints over a common denominator D: ``(D, ints)``
-        (see ``graph.to_int_scale``), computed once per imputation."""
-        scale, ints = to_int_scale(self.values)
-        return scale, tuple(ints)
+    @classmethod
+    def of(cls, values: Sequence[Fraction | int]) -> "Imputation":
+        """The imputation paying ``values[cid]`` to clique ``cid``."""
+        scale, amounts = to_int_scale(values)
+        return cls(scale, tuple(amounts))
 
-    def __getattr__(self, name: str):
-        # Reached only for ``values`` of an imputation from ``from_mapping``,
-        # which starts from its ints alone.
-        if name != "values" or "scaled" not in self.__dict__:
-            raise AttributeError(name)
-        scale, amounts = self.scaled
-        values = tuple([Fraction(a, scale) for a in amounts])
-        self.__dict__["values"] = values
-        return values
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(a, self.scale) for a in self.amounts])
 
     @property
     def total(self) -> Fraction:
-        scale, amounts = self.scaled
-        return Fraction(sum(amounts), scale)
+        return Fraction(sum(self.amounts), self.scale)
 
     @classmethod
     def from_mapping(
@@ -106,10 +104,7 @@ class Imputation:
         amounts = [0] * len(cliques)
         for cid, a in given:
             amounts[cid] += a.numerator * (scale // a.denominator)
-        imputation = cls.__new__(cls)
-        imputation.__dict__["scaled"] = scale, tuple(amounts)
-        imputation.__post_init__()
-        return imputation
+        return cls(scale, tuple(amounts))
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:
         return {
@@ -158,9 +153,9 @@ class CoreReport:
 
 
 def _check_length(cliques: CliqueSet, imputation: Imputation) -> None:
-    if len(imputation.scaled[1]) != len(cliques):
+    if len(imputation.amounts) != len(cliques):
         raise ValueError(
-            f"imputation indexes {len(imputation.scaled[1])} cliques, graph has {len(cliques)}"
+            f"imputation indexes {len(imputation.amounts)} cliques, graph has {len(cliques)}"
         )
 
 
@@ -203,11 +198,8 @@ def money(
     intersect it.  money(empty) = 0."""
     _check_length(cliques, imputation)
     smask = scenario_mask(make_scenario(scenario, g.n))
-    total = ZERO
-    for cid, cmask in enumerate(cliques.masks):
-        if cmask & smask:
-            total += imputation.values[cid]
-    return total
+    total = sum(a for cmask, a in zip(cliques.masks, imputation.amounts) if cmask & smask)
+    return Fraction(total, imputation.scale)
 
 
 def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction:
@@ -246,7 +238,7 @@ def compute_core_imputation(
     if cliques is None:
         cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
-    imputation = Imputation(values=dual.y)
+    imputation = Imputation.of(dual.y)
     worth = certified_worth(g, primal)
     if imputation.total != worth:
         raise DualGapError(imputation.total, worth)
@@ -267,8 +259,7 @@ class CertificateChecker:
     cross-checks it against its scan, so neither verifier reads the other's
     number).  ``check`` leaves the length and totality checks to
     :func:`_verdict` and finds the first uncovered vertex from the
-    imputation's int scaling (``Imputation.scaled``) and the weights'
-    (``WeightedGraph.scaled_weights``).
+    imputation's ints and the weights' (``WeightedGraph.scaled_weights``).
     """
 
     def __init__(self, g: WeightedGraph, cliques: CliqueSet):
@@ -281,7 +272,10 @@ class CertificateChecker:
 
     def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
         short = first_uncovered_scaled(
-            self.cliques.cliques, *imputation.scaled, *self.g.scaled_weights
+            self.cliques.cliques,
+            imputation.scale,
+            imputation.amounts,
+            *self.g.scaled_weights,
         )
         if short is None:
             return None, 0
@@ -297,6 +291,11 @@ def verify_core_certificate(
     return CertificateChecker(g, cliques).check(imputation)
 
 
+#: Largest graph :class:`ExhaustiveChecker` scans, in vertices.
+MAX_EXHAUSTIVE_N = 22
+#: Bytes the exhaustive check may hold for its packed money and need
+#: fields, checked before any is allocated.
+MAX_EXHAUSTIVE_BYTES = 1 << 29
 #: Largest packed int the exhaustive check works on at once, in bytes;
 #: longer blocks of scenarios are cut into chunks of this size or less.
 CHUNK_BYTES = 1 << 18
@@ -357,8 +356,8 @@ class _Packed:
 def check_exhaustive_size(n: int) -> None:
     """Raise GuardError when a graph of n vertices is too large for
     :class:`ExhaustiveChecker`."""
-    if n > oracle.MAX_COST_TABLE_N:
-        raise GuardError(f"exhaustive scenario check capped at n <= {oracle.MAX_COST_TABLE_N}")
+    if n > MAX_EXHAUSTIVE_N:
+        raise GuardError(f"exhaustive scenario check capped at n <= {MAX_EXHAUSTIVE_N}")
 
 
 class ExhaustiveChecker:
@@ -370,7 +369,7 @@ class ExhaustiveChecker:
     the scan works one block ``[2^v, 2^(v+1))`` of scenarios at a time, in
     ints over the least common multiple of the weights' common denominator
     ``scale`` (``WeightedGraph.scaled_weights``) and the imputation's
-    (``Imputation.scaled``).  For T below 2^v, money(T + {v}) is money(T)
+    (``Imputation.scale``).  For T below 2^v, money(T + {v}) is money(T)
     plus the money of the firms at v that miss T.
 
     No cost table is built: money(S) is compared with need(S), the weight
@@ -392,7 +391,7 @@ class ExhaustiveChecker:
     adds, one subtraction to compare every field at once.  Blocks longer
     than :data:`CHUNK_BYTES` are cut into chunks, and the scan stops at the
     first violated block.  Before anything is allocated, a check whose
-    fields would take more than ``oracle.MAX_EXHAUSTIVE_BYTES`` raises
+    fields would take more than :data:`MAX_EXHAUSTIVE_BYTES` raises
     GuardError.
 
     The worth comes from its own branch and bound (:func:`game_worth`), as
@@ -420,7 +419,7 @@ class ExhaustiveChecker:
 
     def _first_violation(self, imputation: Imputation) -> tuple[Violation | None, int]:
         g, n = self.g, self.g.n
-        money_scale, amounts = imputation.scaled
+        money_scale = imputation.scale
         # Money and need are held in units of 1/unit, unit = lcm(scale,
         # money_scale).  The total is the worth and every need the weight of
         # a stable set, so no field exceeds ``top``, the worth in those units.
@@ -430,15 +429,15 @@ class ExhaustiveChecker:
         top = need_scale * self.scaled_worth
         width = _field_bytes(top)
         needed = width << n  # 2^(n-1) money fields and as many need fields
-        if needed > oracle.MAX_EXHAUSTIVE_BYTES:
+        if needed > MAX_EXHAUSTIVE_BYTES:
             raise GuardError(
                 f"exhaustive scenario check needs {needed} bytes,"
-                f" capped at {oracle.MAX_EXHAUSTIVE_BYTES}"
+                f" capped at {MAX_EXHAUSTIVE_BYTES}"
             )
         firm_scale = self.scale // common
         live = [
             (cmask, a * firm_scale)
-            for cmask, a in zip(self.cliques.masks, amounts)
+            for cmask, a in zip(self.cliques.masks, imputation.amounts)
             if a
         ]
         chunk = _chunk_fields(width, 1 << n)
@@ -558,7 +557,7 @@ def lift_dual(
                 c for c, cm in enumerate(cliques.masks) if cm & kmask == kmask
             )
         values[cid] += amt
-    return Imputation(values=tuple(values))
+    return Imputation.of(values)
 
 
 def restrict_dual(
@@ -580,10 +579,10 @@ def restrict_dual(
         raise ValueError("scenario must be nonempty")
     _check_length(cliques, imputation)
     smask = scenario_mask(s)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for cid, cmask in enumerate(cliques.masks):
+    out: dict[tuple[int, ...], int] = {}
+    for cmask, a in zip(cliques.masks, imputation.amounts):
         inter = cmask & smask
         if inter:
             key = mask_to_scenario(inter)
-            out[key] = out.get(key, ZERO) + imputation.values[cid]
-    return {key: out[key] for key in sorted(out)}
+            out[key] = out.get(key, 0) + a
+    return {key: Fraction(out[key], imputation.scale) for key in sorted(out)}

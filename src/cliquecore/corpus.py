@@ -25,7 +25,6 @@ from .core import (
 )
 from .generators import cycle, random_bipartite, random_chordal
 from .graph import WeightedGraph
-from .lp import first_uncovered_scaled, is_integral
 
 
 #: Inclusive range of the random integer weights.
@@ -113,10 +112,11 @@ def build_corpus(
     return out
 
 
-def scaled_to_total(raw: list[int], total: Fraction) -> list[Fraction]:
-    s = sum(raw)
-    num, den = total.numerator, total.denominator * s
-    return [Fraction(num * r, den) for r in raw]
+def scaled_to_total(raw: list[int], total: Fraction) -> Imputation:
+    """The imputation proportional to ``raw`` (nonnegative, not all zero)
+    whose total is exactly ``total``."""
+    num = total.numerator
+    return Imputation(total.denominator * sum(raw), tuple([num * r for r in raw]))
 
 
 def random_total_vectors(
@@ -129,7 +129,7 @@ def random_total_vectors(
         raw = [rng.randint(0, 100) for _ in range(len(cliques))]
         if sum(raw) == 0:
             raw[rng.randrange(len(cliques))] = 1
-        out.append(Imputation(values=tuple(scaled_to_total(raw, total))))
+        out.append(scaled_to_total(raw, total))
     return out
 
 
@@ -157,11 +157,7 @@ def infeasible_total_vectors(
             raw[cid] = rng.randint(0, 100)
         if sum(raw) == 0:
             raw[avoiding[rng.randrange(len(avoiding))]] = 1
-        imputation = Imputation(values=tuple(scaled_to_total(raw, total)))
-        short = first_uncovered_scaled(cliques.cliques, *imputation.scaled, *g.scaled_weights)
-        if short is None:
-            continue  # cannot happen; guards the construction
-        out.append(imputation)
+        out.append(scaled_to_total(raw, total))
     return out
 
 
@@ -172,7 +168,7 @@ class InstanceReport:
     index: int
     family: str
     expected_perfect: bool
-    core_agree: bool  # certificate and exhaustive verdicts agreed everywhere
+    core_agree: bool  # the two verifiers' verdicts and first violations agreed
     optimal_in_core: bool | None  # None when the dual is not an imputation
     perturbed_all_fail: bool
     tdi_holds: bool | None
@@ -208,24 +204,24 @@ def run_instance_suite(inst: CorpusInstance, rng: random.Random) -> InstanceRepo
         imputation = compute_core_imputation(g, cliques)
         cert = certificate.check(imputation)
         exh = checker.check(imputation)
-        core_agree &= cert.verdict == exh.verdict
+        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
         optimal_in_core = cert.in_core and exh.in_core
 
         dual_value = imputation.total
         tdi_holds = (
-            is_integral(imputation.values)
+            imputation.scale == 1
             and dual_value == oracle.min_integral_clique_cover_value(g, cliques=cliques)
         )
 
     for bad in infeasible_total_vectors(g, cliques, worth, rng, PERTURBED):
         cert = certificate.check(bad)
         exh = checker.check(bad)
-        core_agree &= cert.verdict == exh.verdict
+        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
         perturbed_all_fail &= not exh.in_core
     for vec in random_total_vectors(cliques, worth, rng, RANDOM_VECTORS):
         cert = certificate.check(vec)
         exh = checker.check(vec)
-        core_agree &= cert.verdict == exh.verdict
+        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
 
     chain_holds = True
     gap_closed = 0

@@ -124,16 +124,6 @@ def solve_general(lp: LinearProgram) -> LPResult:
     return LPResult(status="optimal", x=tuple(x), value=value, duals=tuple(duals))
 
 
-def first_uncovered(
-    rows: Sequence[Iterable[int]], y: Sequence[Fraction], demand: Sequence[Fraction]
-) -> tuple[int, Fraction] | None:
-    """The smallest j whose coverage, the sum of ``y[i]`` over the rows
-    that contain j, falls short of ``demand[j]``, with that coverage; None
-    when ``y`` covers every demand.  Sums in ints over the common
-    denominator of ``y`` (see :func:`first_uncovered_scaled`)."""
-    return first_uncovered_scaled(rows, *to_int_scale(y), *to_int_scale(demand))
-
-
 def first_uncovered_scaled(
     rows: Sequence[Iterable[int]],
     scale: int,
@@ -141,9 +131,12 @@ def first_uncovered_scaled(
     need_scale: int,
     needs: Sequence[int],
 ) -> tuple[int, Fraction] | None:
-    """:func:`first_uncovered` on vectors already scaled to ints by
-    ``to_int_scale``: ``y[i] == ys[i] / scale`` and ``demand[j] ==
-    needs[j] / need_scale``.  Skips rows whose ``y`` is 0."""
+    """The smallest j whose coverage, the sum of ``y[i]`` over the rows
+    that contain j, falls short of ``demand[j]``, with that coverage; None
+    when ``y`` covers every demand.  Both vectors come as ints over a
+    denominator (see ``graph.to_int_scale``): ``y[i] == ys[i] / scale``
+    and ``demand[j] == needs[j] / need_scale``.  Skips rows whose ``y``
+    is 0."""
     coverage = [0] * len(needs)
     for row, yi in zip(rows, ys):
         if yi:

@@ -28,9 +28,6 @@ MAX_STABLE_SET_N = 30
 MAX_COVER_N = 20
 MAX_CHAIN_N = 16
 MAX_COST_TABLE_N = 22
-#: Bytes the exhaustive core check may hold for its packed cost table and
-#: scenario money (see ``core.ExhaustiveChecker``).
-MAX_EXHAUSTIVE_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ cross-check, not circular.  Only usable for small n.  ``simplex_max``,
 are kept as slow references to code the library replaced: the two-phase
 Fraction simplex before its dual simplex on the cover LP (now a value
 oracle for any LP), the subset scan before its chordless-path odd-hole
-search, the Fraction optimality certificate before its int one (it
-shares the library's cover check ``first_uncovered``, which has tests of
-its own), and the stable-set search before its clique-partition bound.
+search, the Fraction optimality certificate before its int one (with its own
+Fraction coverage sums), and the stable-set search before its
+clique-partition bound.
 ``dual_simplex_max`` is the Fraction form of the library's dual simplex,
 making the same choices.
 """
@@ -439,7 +439,6 @@ def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fra
     objective coefficient, and equal objective values.  Returns that
     value; raises RuntimeError naming the first failed condition."""
     from cliquecore.graph import fraction_str
-    from cliquecore.lp import first_uncovered
 
     if any(v < 0 for v in x):
         raise RuntimeError("certificate: x has a negative coordinate")
@@ -448,9 +447,13 @@ def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fra
             raise RuntimeError(f"certificate: x violates row {i}")
         if duals[i] < 0:
             raise RuntimeError(f"certificate: dual {i} has the wrong sign")
-    short = first_uncovered(lp.rows, duals, lp.objective)
-    if short is not None:
-        raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
+    coverage = [ZERO] * len(lp.objective)
+    for row, yi in zip(lp.rows, duals):
+        for j in row:
+            coverage[j] += yi
+    for j, (have, need) in enumerate(zip(coverage, lp.objective)):
+        if have < need:
+            raise RuntimeError(f"certificate: dual constraint of variable {j} violated")
     value = sum((cj * v for cj, v in zip(lp.objective, x)), ZERO)
     dual_value = sum(duals, ZERO)
     if value != dual_value:

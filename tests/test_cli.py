@@ -73,6 +73,16 @@ class TestSolve:
         assert "Maximize" in primal and primal.count("<= 1") == 6
         assert "Minimize" in dual and dual.count(">=") == 9
 
+    def test_dump_lp_into_missing_directory(self, capsys, tmp_path):
+        prefix = str(tmp_path / "missing" / "paley")
+        code, out, err = run(
+            capsys, "solve", "--generate", "paley3x3", "--dump-lp", prefix
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {prefix}.primal.lp: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     @pytest.fixture

@@ -101,8 +101,8 @@ class TestMoney:
             return
         cs = maximal_cliques(g)
         rng = random.Random(g.n * 1000 + len(g.edges))
-        imp = Imputation(
-            values=tuple(F(rng.randint(0, 5)) for _ in range(len(cs)))
+        imp = Imputation.of(
+            tuple(F(rng.randint(0, 5)) for _ in range(len(cs)))
         )
         for s in bf.subsets(g.n):
             base = money(g, cs, imp, s)
@@ -152,7 +152,7 @@ class TestVerifyCertificate:
     def test_half_on_all_six_in_core(self, paley_setup):
         # every vertex is covered by its row half plus its column half
         g, cs = paley_setup
-        halves = Imputation(values=(F(1, 2),) * 6)
+        halves = Imputation.of((F(1, 2),) * 6)
         assert verify_core_certificate(g, cs, halves).verdict == "in-core"
 
     def test_wrong_total_is_not_an_imputation(self, paley_setup):
@@ -176,10 +176,21 @@ class TestVerifyCertificate:
         values = [F(0)] * len(cs)
         for key, amount in amounts.items():
             values[cs.key_to_id[key]] += amount
-        assert imp == Imputation(values=tuple(values))
+        assert imp == Imputation.of(tuple(values))
         assert imp.total == 5
         with pytest.raises(ValueError, match="negative money -1/6 on clique 0"):
             Imputation.from_mapping(cs, {"0-1-2": F(-1, 6), "3-4-5": F(1, 4)})
+
+    def test_ints_kept_in_lowest_terms(self):
+        imp = Imputation(12, (6, 18, 0))
+        assert (imp.scale, imp.amounts) == (2, (1, 3, 0))
+        assert imp == Imputation.of((F(1, 2), F(3, 2), 0))
+        assert imp.values == (F(1, 2), F(3, 2), F(0)) and imp.total == 2
+        assert Imputation(5, (0, 0)).scale == 1
+        with pytest.raises(ValueError, match="scale must be positive, got 0"):
+            Imputation(0, (1,))
+        with pytest.raises(ValueError, match="negative money -1/4 on clique 1"):
+            Imputation(8, (2, -2))
 
 
 class TestVerifyExhaustive:
@@ -205,7 +216,7 @@ class TestVerifyExhaustive:
     def test_single_vertex_game(self):
         g = WeightedGraph.from_edges(1, [], [7])
         cs = maximal_cliques(g)
-        report = verify_core_exhaustive(g, cs, Imputation(values=(F(7),)))
+        report = verify_core_exhaustive(g, cs, Imputation.of((F(7),)))
         assert report.verdict == "in-core"
         assert report.scenarios_checked == 2
 
@@ -236,12 +247,12 @@ class TestVerifyExhaustive:
         cs = maximal_cliques(g)
         rng = random.Random(g.n * 37 + len(g.edges))
         worth = game_worth(g)
-        candidates = [Imputation(values=tuple(F(rng.randint(0, 3)) for _ in cs.cliques))]
+        candidates = [Imputation.of(tuple(F(rng.randint(0, 3)) for _ in cs.cliques))]
         if worth > 0:
             raw = [rng.randint(0, 9) for _ in cs.cliques]
             if sum(raw) == 0:
                 raw[0] = 1
-            candidates.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+            candidates.append(scaled_to_total(raw, worth))
         for imp in candidates:
             ours = verify_core_exhaustive(g, cs, imp)
             naive_ok, _ = bf.core_by_definition(g, cs, imp)
@@ -293,8 +304,8 @@ class TestExhaustiveAgainstReference:
                 raw = [rng.randint(0, 9) * rng.randint(0, 1) for _ in cs.cliques]
                 if sum(raw) == 0:
                     raw[0] = 1
-                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
-            vectors.append(Imputation(values=(worth + F(1, 7),) + (F(0),) * (len(cs) - 1)))
+                vectors.append(scaled_to_total(raw, worth))
+            vectors.append(Imputation.of((worth + F(1, 7),) + (F(0),) * (len(cs) - 1)))
             checker = ExhaustiveChecker(g, cs)
             for imp in vectors:
                 ours = checker.check(imp)
@@ -336,8 +347,8 @@ class TestExhaustiveAgainstReference:
             raw[0] += 1
             vectors = [
                 compute_core_imputation(g, cs),
-                Imputation(values=tuple(scaled_to_total(raw, worth))),
-                Imputation(values=(worth + F(1, 7),) + (F(0),) * (len(cs) - 1)),
+                scaled_to_total(raw, worth),
+                Imputation.of((worth + F(1, 7),) + (F(0),) * (len(cs) - 1)),
             ]
             for imp in vectors:
                 ours = checker.check(imp)
@@ -368,11 +379,13 @@ class TestExhaustiveAgainstReference:
             except DualGapError:
                 pass
             for den in (1, 1, 11):
-                raw = [F(rng.randint(0, 9), den) for _ in cs.cliques]
-                raw[rng.randrange(len(raw))] += 1
-                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+                # k / den per clique plus 1 on one, times den: scaled_to_total
+                # reads only the proportions, which are then ints.
+                raw = [rng.randint(0, 9) for _ in cs.cliques]
+                raw[rng.randrange(len(raw))] += den
+                vectors.append(scaled_to_total(raw, worth))
             vectors += infeasible_total_vectors(g, cs, worth, rng, 1)
-            vectors.append(Imputation(values=(worth + 1,) + (F(0),) * (len(cs) - 1)))
+            vectors.append(Imputation.of((worth + 1,) + (F(0),) * (len(cs) - 1)))
             checker = ExhaustiveChecker(g, cs)
             for imp in vectors:
                 ours = checker.check(imp)
@@ -387,15 +400,15 @@ class TestExhaustiveAgainstReference:
         costs = [cost(g, mask_to_scenario(m)) for m in range(1 << g.n)]
         rows = Imputation.from_mapping(cs, ROWS)
         t = F(1, 7**40)
-        mixed = Imputation(
-            values=tuple(
+        mixed = Imputation.of(
+            tuple(
                 (1 - t) * r + t * c
                 for r, c in zip(rows.values, Imputation.from_mapping(cs, COLUMNS).values)
             )
         )
         lopsided = Imputation.from_mapping(cs, {"0-1-2": 3 - t, "0-3-6": t})
         checker = ExhaustiveChecker(g, cs)
-        assert core_module._field_bytes(mixed.scaled[0] * checker.scaled_worth) > (
+        assert core_module._field_bytes(mixed.scale * checker.scaled_worth) > (
             core_module._field_bytes(checker.scaled_worth)
         )
         reports = []
@@ -479,7 +492,7 @@ class TestScanCrossChecks:
         cs = maximal_cliques(g)
         values = list(compute_core_imputation(g, cs).values)
         values[0] += 1
-        boosted = Imputation(values=tuple(values))
+        boosted = Imputation.of(tuple(values))
         assert ExhaustiveChecker(g, cs).check(boosted).verdict == "not-an-imputation"
         worth = game_worth(g)
         monkeypatch.setattr(core_module, "game_worth", lambda h: worth + 1)
@@ -493,7 +506,7 @@ class TestScanCrossChecks:
         g = WeightedGraph.from_edges(3)
         cs = maximal_cliques(g)
         monkeypatch.setattr(core_module, "game_worth", lambda h: game_worth(h) - 1)
-        short = Imputation(values=(F(1), F(1), F(0)))
+        short = Imputation.of((F(1), F(1), F(0)))
         with pytest.raises(RuntimeError, match="a stable set outweighs"):
             ExhaustiveChecker(g, cs).check(short)
         with pytest.raises(RuntimeError, match="a vertex outweighs"):
@@ -524,13 +537,44 @@ class TestExhaustiveAgainstReferenceProperty:
         scale = g.scaled_weights[0]
         costs = [F(c, scale) for c in subset_cost_table(g)]
         worth = costs[-1]
-        vectors = [Imputation(values=solve_game(g, cs)[1].y)]
+        vectors = [Imputation.of(solve_game(g, cs)[1].y)]
         vectors += infeasible_total_vectors(g, cs, worth, rng, 2)
         if worth > 0:
             vectors += random_total_vectors(cs, worth, rng, 2)
         checker = ExhaustiveChecker(g, cs)
         for imp in vectors:
             assert checker.check(imp) == reference_exhaustive(g, cs, imp, costs)
+
+
+class TestVerifiersShareTheFirstViolation:
+    """On a vector whose total is the worth, the first violated scenario
+    is stable (see ``ExhaustiveChecker``) and a firm meets a stable set at
+    most once, so its money is the sum of its vertices' coverage: the
+    first violation is the singleton {v} of the lowest uncovered vertex,
+    which the certificate check reports too."""
+
+    def test_same_first_violation(self):
+        violated = []
+
+        @given(graphs_with_odd_holes(), st.randoms(use_true_random=False))
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        def same(g, rng):
+            cs = maximal_cliques(g)
+            exhaustive, certificate = ExhaustiveChecker(g, cs), CertificateChecker(g, cs)
+            worth = exhaustive.worth
+            vectors = infeasible_total_vectors(g, cs, worth, rng, 2)
+            if worth > 0:
+                vectors += random_total_vectors(cs, worth, rng, 3)
+            for imp in vectors:
+                exh, cert = exhaustive.check(imp), certificate.check(imp)
+                assert exh.violation == cert.violation
+                if exh.violation is not None:
+                    (v,) = exh.violation.scenario
+                    assert exh.scenarios_checked == 2**v + 1
+                    violated.append(v)
+
+        same()
+        assert len(set(violated)) > 1
 
 
 @st.composite
@@ -625,9 +669,9 @@ class TestCertificateAgainstReference:
                 raw = [rng.randint(0, 9) * rng.randint(0, 1) for _ in cs.cliques]
                 if sum(raw) == 0:
                     raw[0] = 1
-                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+                vectors.append(scaled_to_total(raw, worth))
             amounts = [F(rng.randint(0, 9), rng.choice((1, 5, 7))) for _ in cs.cliques]
-            vectors.append(Imputation(values=tuple(amounts)))
+            vectors.append(Imputation.of(tuple(amounts)))
             checker = CertificateChecker(g, cs)
             for imp in vectors:
                 ours = checker.check(imp)
@@ -653,7 +697,7 @@ class TestCertificateEquivalence:
                 raw = [rng.randint(0, 20) for _ in cs.cliques]
                 if sum(raw) == 0:
                     raw[0] = 1
-                vectors.append(Imputation(values=tuple(scaled_to_total(raw, worth))))
+                vectors.append(scaled_to_total(raw, worth))
             for imp in vectors:
                 cert = verify_core_certificate(g, cs, imp)
                 exh = verify_core_exhaustive(g, cs, imp)
@@ -674,8 +718,8 @@ class TestCertificateEquivalence:
                 for _ in range(3):
                     inflated[rng.randrange(len(inflated))] += rng.randint(1, 4)
                 total = sum(inflated, F(0))
-                scaled = Imputation(
-                    values=tuple(v * worth / total for v in inflated)
+                scaled = Imputation.of(
+                    tuple(v * worth / total for v in inflated)
                 )
                 feasible = all(
                     sum((scaled.values[c] for c in cs.member_index[v]), F(0))
@@ -733,7 +777,7 @@ class TestVerifierAgreementOnImperfectGraphs:
                 vectors.append(moved)
             certificate, exhaustive = CertificateChecker(g, cs), ExhaustiveChecker(g, cs)
             for values in vectors:
-                imp = Imputation(values=tuple(values))
+                imp = Imputation.of(tuple(values))
                 verdict = certificate.check(imp).verdict
                 assert exhaustive.check(imp).verdict == verdict
                 verdicts.append(verdict)
@@ -853,7 +897,7 @@ class TestRestrictDual:
             return
         cs = maximal_cliques(g)
         dual = solve_dual(g, cs)
-        imp = Imputation(values=dual.y)
+        imp = Imputation.of(dual.y)
         rng = random.Random(g.n * 7 + len(g.edges) * 3)
         for _ in range(4):
             scenario = tuple(

@@ -75,8 +75,8 @@ def test_random_vectors_hold_exact_total():
 def test_scaled_to_total_is_exact():
     for total in (F(0), F(7), F(7, 3), F(22, 15)):
         for raw in ([1], [3, 0, 4], [5, 10, 15, 2]):
-            values = scaled_to_total(raw, total)
-            assert values == [total * F(r, sum(raw)) for r in raw]
+            values = scaled_to_total(raw, total).values
+            assert values == tuple(total * F(r, sum(raw)) for r in raw)
             assert sum(values, F(0)) == total
 
 

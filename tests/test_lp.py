@@ -29,7 +29,8 @@ from cliquecore import (
 from cliquecore import lp as lp_module
 from cliquecore.cli import main
 from cliquecore.core import certified_worth
-from cliquecore.lp import certify_optimum, first_uncovered
+from cliquecore.graph import to_int_scale
+from cliquecore.lp import certify_optimum, first_uncovered_scaled
 
 import _bruteforce as bf
 from conftest import counting_searches, fractional_graphs, graphs, random_graph
@@ -633,16 +634,19 @@ class TestTableauGuard:
 class TestFirstUncovered:
     rows = [(0, 1), (1, 2), (2, 3)]
 
+    def first_uncovered(self, y, demand):
+        return first_uncovered_scaled(self.rows, *to_int_scale(y), *to_int_scale(demand))
+
     def test_all_covered(self):
-        assert first_uncovered(self.rows, [F(1), F(0), F(2)], [1, 1, 2, 2]) is None
+        assert self.first_uncovered([F(1), F(0), F(2)], [1, 1, 2, 2]) is None
 
     def test_smallest_short_index_and_its_coverage(self):
         y = [F(1, 2), F(1, 3), F(0)]
-        assert first_uncovered(self.rows, y, [0, 1, 1, 0]) == (1, F(5, 6))
+        assert self.first_uncovered(y, [0, 1, 1, 0]) == (1, F(5, 6))
 
     def test_index_in_no_paid_row(self):
-        assert first_uncovered(self.rows, [F(0), F(0), F(3)], [0, 0, 0, 1]) is None
-        assert first_uncovered(self.rows, [F(0), F(0), F(3)], [1, 0, 0, 0]) == (0, F(0))
+        assert self.first_uncovered([F(0), F(0), F(3)], [0, 0, 0, 1]) is None
+        assert self.first_uncovered([F(0), F(0), F(3)], [1, 0, 0, 0]) == (0, F(0))
 
 
 class TestIsIntegral:
