@@ -69,7 +69,7 @@ from .oracle import (
     min_integral_clique_cover_value,
     subset_cost_table,
 )
-from .perfection import PerfectionVerdict, find_odd_hole, is_perfect, omega_chi
+from .perfection import PerfectionVerdict, find_odd_hole, is_perfect
 
 __version__ = "0.1.0"
 
@@ -120,7 +120,6 @@ __all__ = [
     "maximal_cliques",
     "min_integral_clique_cover_value",
     "money",
-    "omega_chi",
     "paley3x3",
     "parse_fraction",
     "parse_graph",

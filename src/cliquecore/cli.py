@@ -244,6 +244,8 @@ def cmd_corpus(args) -> int:
         raise _InputError("corpus requires --seed")
     if args.count < 0:
         raise _InputError(f"--count must be >= 0, got {clip(str(args.count))}")
+    if args.n < 4:
+        raise _InputError(f"--n must be >= 4, got {clip(str(args.n))}")
     if args.n > oracle.MAX_CHAIN_N:
         # Every instance runs the four-program chain, which has this guard;
         # refuse before drawing the corpus rather than on its first instance.
@@ -252,7 +254,7 @@ def cmd_corpus(args) -> int:
         count=args.count,
         seed=args.seed,
         n_min=4,
-        n_max=max(4, args.n),
+        n_max=args.n,
         include_imperfect=args.include_imperfect,
     )
     rng = random.Random(args.seed ^ 0x5EED)

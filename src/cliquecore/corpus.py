@@ -67,7 +67,14 @@ def build_corpus(
     n_max: int = 10,
     include_imperfect: bool = False,
 ) -> list[CorpusInstance]:
-    """``count`` perfect instances, plus odd cycles when asked for."""
+    """``count`` perfect instances, plus odd cycles when asked for.
+
+    Instance i has ``n_min + i % (n_max - n_min + 1)`` vertices.  Unless
+    2 <= n_min <= n_max, ValueError is raised: an instance needs two
+    maximal cliques, which no one-vertex graph has.
+    """
+    if not 2 <= n_min <= n_max:
+        raise ValueError(f"vertex counts need 2 <= n_min <= n_max, got {n_min} and {n_max}")
     rng = random.Random(seed)
     out: list[CorpusInstance] = []
     for i in range(count):

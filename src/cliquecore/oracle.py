@@ -178,10 +178,13 @@ def min_integral_clique_cover_value(g: WeightedGraph, cliques: CliqueSet | None 
     >= 0 and sum_{Q contains v} y_Q >= w_v.  Fractional weights raise
     ValueError; ``cliques`` (those of ``g``) is enumerated when not given.
 
-    Iterative deepening: the first total that admits a cover, counting up
-    from the heaviest stable set of the demands.  A clique meets a stable
-    set in at most one vertex, so that is a lower bound (the optimum on a
-    perfect graph: Lovasz 1972), as it is for the deficits left below.
+    The least total that admits a cover, above the heaviest stable set of
+    the demands.  A clique meets a stable set in at most one vertex, so
+    that is a lower bound (the optimum on a perfect graph: Lovasz 1972), as
+    it is for the deficits left below.  A cover within a total fits any
+    larger one, so the search tries the bound plus 0, 1, 2, 4, ... until a
+    cover fits and then bisects: one pass on a perfect graph, and a number
+    of passes logarithmic in the integrality gap otherwise.
     """
     if g.n > MAX_COVER_N:
         raise GuardError(f"integral cover search capped at n <= {MAX_COVER_N}")
@@ -219,10 +222,17 @@ def min_integral_clique_cover_value(g: WeightedGraph, cliques: CliqueSet | None 
         return False
 
     demand = [x.numerator for x in g.weights]
-    target = _best_stable_set(g.adj, demand, (1 << g.n) - 1, 0)[0]
-    while not cover(demand, target):
-        target += 1
-    return target
+    bound = _best_stable_set(g.adj, demand, (1 << g.n) - 1, 0)[0]
+    low, high, step = bound, bound, 1  # no total below ``low`` fits
+    while not cover(demand, high):
+        low, high, step = high + 1, bound + step, 2 * step
+    while low < high:
+        mid = (low + high) // 2
+        if cover(demand, mid):
+            high = mid
+        else:
+            low = mid + 1
+    return high
 
 
 def four_program_chain(

@@ -1,19 +1,15 @@
-"""Deciding perfection of small graphs, with verifiable witnesses.
+"""Deciding perfection, with verifiable witnesses.
 
-Two independent routes:
-
-* the structural route searches for an induced odd chordless cycle of
-  length >= 5 in the graph or in its complement (their absence
-  characterizes perfection) by growing chordless paths depth first, at
-  most n * 2^(n-1) of them;
-* the definitional route computes clique number and chromatic number for
-  every induced subgraph by subset dynamic programming and demands
-  equality throughout.
-
-The structural route is the decision procedure; for n <= 10 the
-definitional route is run as well and any disagreement raises, so the two
-implementations continuously police each other at small scale.  Guards
-are honest hard limits: these are exponential procedures.
+A graph is perfect iff neither it nor its complement contains an induced
+odd chordless cycle of length >= 5 (Chudnovsky, Robertson, Seymour and
+Thomas, *The strong perfect graph theorem*, Annals of Math. 2006).  That
+search, over chordless paths grown depth first, is the decision
+procedure.  It is exponential in the worst case, so its guard counts the
+paths it grows rather than the vertices: a sparse or chordal graph far
+past n = 16 is decided, while a graph whose paths exceed the budget
+raises GuardError.  The definitional check, clique number equal to
+chromatic number on every induced subgraph, is kept in the test suite as
+the reference this search is compared against.
 """
 
 from __future__ import annotations
@@ -22,11 +18,9 @@ from dataclasses import dataclass
 
 from .errors import GuardError
 from .graph import WeightedGraph, complement
-from .oracle import subset_cost_table
 
-MAX_PERFECTION_N = 16
-MAX_OMEGA_CHI_N = 12
-DEFINITIONAL_CHECK_N = 10
+# n * 2^(n-1) at n = 16: every graph of at most 16 vertices stays within it.
+MAX_HOLE_PATHS = 16 << 15
 
 
 @dataclass(frozen=True)
@@ -67,15 +61,14 @@ def find_odd_hole(g: WeightedGraph) -> tuple[int, ...] | None:
     reaches it, since extending a path only adds bits.
 
     Cost: one stack entry per chordless path, and a path is fixed by its
-    first vertex and its vertex set, so at most n * 2^(n-1) entries
-    (524,288 at the n <= 16 guard).  Deterministic: the cycle is reported
-    starting at its smallest vertex, stepping first to the smaller of that
-    vertex's two cycle neighbours.
+    first vertex and its vertex set, so at most n * 2^(n-1) entries.  Past
+    ``MAX_HOLE_PATHS`` popped entries the search raises GuardError.
+    Deterministic: the cycle is reported starting at its smallest vertex,
+    stepping first to the smaller of that vertex's two cycle neighbours.
     """
-    if g.n > MAX_PERFECTION_N:
-        raise GuardError(f"odd-hole search capped at n <= {MAX_PERFECTION_N}")
     adj = g.adj
     best = 1 << g.n
+    paths = 0
     for s in range(g.n):
         if 1 << s >= best:
             break
@@ -91,6 +84,9 @@ def find_odd_hole(g: WeightedGraph) -> tuple[int, ...] | None:
             stack = [((1 << s) | (1 << a), a, blocked_s, 0, 2)]
             while stack:
                 mask, last, blocked, inner, k = stack.pop()
+                paths += 1
+                if paths > MAX_HOLE_PATHS:
+                    raise GuardError(f"odd-hole search capped at {MAX_HOLE_PATHS} chordless paths")
                 if mask >= best:
                     continue
                 if k >= 4 and not k & 1:
@@ -126,84 +122,14 @@ def _walk_cycle(adj, mask: int, size: int) -> tuple[int, ...]:
 
 
 def is_perfect(g: WeightedGraph) -> PerfectionVerdict:
-    """Perfection verdict with witness, double-checked definitionally.
-
-    Perfect iff neither the graph nor its complement contains an induced
-    odd chordless cycle of length >= 5.  For n <= 10 the definitional
-    clique-number = chromatic-number scan over all induced subgraphs is
-    also run; the two procedures must agree or a RuntimeError is raised.
-    """
-    if g.n > MAX_PERFECTION_N:
-        raise GuardError(f"perfection check capped at n <= {MAX_PERFECTION_N}")
+    """Perfection verdict with witness: perfect iff neither the graph nor
+    its complement contains an induced odd chordless cycle of length >= 5.
+    The graph is searched first, so a hole in both is reported in the
+    graph."""
     hole = find_odd_hole(g)
     if hole is not None:
-        verdict = PerfectionVerdict(is_perfect=False, hole=hole)
-    else:
-        anti = find_odd_hole(complement(g))
-        if anti is not None:
-            verdict = PerfectionVerdict(is_perfect=False, hole=anti, hole_in_complement=True)
-        else:
-            verdict = PerfectionVerdict(is_perfect=True)
-    if g.n <= DEFINITIONAL_CHECK_N:
-        definitional = _definitionally_perfect(g)
-        if definitional != verdict.is_perfect:
-            raise RuntimeError(
-                "perfection procedures disagree: structural says "
-                f"{verdict.is_perfect}, definitional says {definitional}"
-            )
-    return verdict
-
-
-def _omega_table(g: WeightedGraph) -> list[int]:
-    """Clique number of every induced subgraph, indexed by bitmask: the
-    unit-weight stable-set table of the complement."""
-    return subset_cost_table(complement(g).with_weights([1] * g.n))
-
-
-def _chi_table(g: WeightedGraph) -> list[int]:
-    """Chromatic number of every induced subgraph, indexed by bitmask.
-
-    chi(S) = 1 + min over independent subsets I of S containing S's lowest
-    vertex of chi(S - I); enumerating color classes that contain a fixed
-    vertex keeps the recurrence canonical.
-    """
-    adj = g.adj
-    size = 1 << g.n
-    independent = [True] * size
-    for mask in range(1, size):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
-        independent[mask] = independent[rest] and (adj[v] & rest) == 0
-    table = [0] * size
-    for mask in range(1, size):
-        v_bit = mask & -mask
-        rest = mask & ~v_bit
-        best = g.n + 1
-        sub = rest
-        while True:
-            cls = sub | v_bit
-            if independent[cls]:
-                cand = 1 + table[mask & ~cls]
-                if cand < best:
-                    best = cand
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        table[mask] = best
-    return table
-
-
-def _definitionally_perfect(g: WeightedGraph) -> bool:
-    omega = _omega_table(g)
-    chi = _chi_table(g)
-    return all(omega[m] == chi[m] for m in range(1 << g.n))
-
-
-def omega_chi(g: WeightedGraph) -> tuple[int, int]:
-    """Exact clique number and chromatic number of the whole graph."""
-    if g.n > MAX_OMEGA_CHI_N:
-        raise GuardError(f"omega/chi computation capped at n <= {MAX_OMEGA_CHI_N}")
-    if g.n == 0:
-        return 0, 0
-    full = (1 << g.n) - 1
-    return _omega_table(g)[full], _chi_table(g)[full]
+        return PerfectionVerdict(is_perfect=False, hole=hole)
+    anti = find_odd_hole(complement(g))
+    if anti is not None:
+        return PerfectionVerdict(is_perfect=False, hole=anti, hole_in_complement=True)
+    return PerfectionVerdict(is_perfect=True)

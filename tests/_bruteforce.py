@@ -2,16 +2,20 @@
 
 Everything here enumerates subsets naively and never calls into the
 package's search or LP code, so agreement with the library is a real
-cross-check, not circular.  Only usable for small n.  ``simplex_max``,
-``smallest_odd_hole``, ``certify_optimum`` and ``best_stable_set_by_sum``
-are kept as slow references to code the library replaced: the two-phase
-Fraction simplex before its dual simplex on the cover LP (now a value
-oracle for any LP), the subset scan before its chordless-path odd-hole
-search, the Fraction optimality certificate before its int one (with its own
-Fraction coverage sums), and the stable-set search before its
-clique-partition bound.
+cross-check, not circular: of the package it imports only
+``cliquecore.graph``, for graphs and their exact numbers.  Only usable
+for small n.  ``simplex_max``, ``smallest_odd_hole``, ``certify_optimum``
+and ``best_stable_set_by_sum`` are kept as slow references to code the
+library replaced: the two-phase Fraction simplex before its dual simplex
+on the cover LP (now a value oracle for any LP), the subset scan before
+its chordless-path odd-hole search, the Fraction optimality certificate
+before its int one (with its own Fraction coverage sums), and the
+stable-set search before its clique-partition bound.
 ``dual_simplex_max`` is the Fraction form of the library's dual simplex,
-making the same choices.
+making the same choices.  ``omega_table``, ``chi_table`` and
+``perfect_by_tables`` are the definitional perfection check the library
+once ran beside its odd-hole search: subset recurrences, faster than
+``definitionally_perfect`` and so usable up to n = 10.
 """
 
 from fractions import Fraction
@@ -118,6 +122,64 @@ def definitionally_perfect(g) -> bool:
         if omega(sub) != chi(sub):
             return False
     return True
+
+
+def omega_table(g) -> list[int]:
+    """Clique number of every induced subgraph, indexed by bitmask.
+
+    Built one highest vertex v at a time: a clique of S either avoids v or
+    is v plus a clique of v's lower neighbours in S.
+    """
+    table = [0]
+    for v in range(g.n):
+        lower = g.adj[v] & ((1 << v) - 1)
+        table += [max(skip, 1 + table[t & lower]) for t, skip in enumerate(table)]
+    return table
+
+
+def chi_table(g) -> list[int]:
+    """Chromatic number of every induced subgraph, indexed by bitmask.
+
+    chi(S) = 1 + min over independent subsets I of S containing S's lowest
+    vertex of chi(S - I); enumerating color classes that contain a fixed
+    vertex keeps the recurrence canonical.
+    """
+    adj = g.adj
+    size = 1 << g.n
+    independent = [True] * size
+    for mask in range(1, size):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << v)
+        independent[mask] = independent[rest] and (adj[v] & rest) == 0
+    table = [0] * size
+    for mask in range(1, size):
+        v_bit = mask & -mask
+        rest = mask & ~v_bit
+        best = g.n + 1
+        sub = rest
+        while True:
+            cls = sub | v_bit
+            if independent[cls]:
+                cand = 1 + table[mask & ~cls]
+                if cand < best:
+                    best = cand
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        table[mask] = best
+    return table
+
+
+def perfect_by_tables(g) -> bool:
+    """omega == chi on every induced subgraph, by the two tables."""
+    return omega_table(g) == chi_table(g)
+
+
+def omega_chi(g) -> tuple[int, int]:
+    """Clique number and chromatic number of the whole graph, from the
+    tables."""
+    full = (1 << g.n) - 1
+    return omega_table(g)[full], chi_table(g)[full]
 
 
 def induced_cycles(g, min_len=4):

@@ -214,6 +214,18 @@ class TestCheckPerfect:
         assert code == 2
         assert "guard" in err
 
+    @pytest.mark.parametrize("spec, seed", [("chordal:32", "1"), ("bipartite:32", "2")])
+    def test_perfect_past_sixteen_vertices(self, capsys, spec, seed):
+        code, out, err = run(capsys, "check-perfect", "--generate", spec, "--seed", seed)
+        assert (code, out, err) == (0, "perfect\n", "")
+
+    def test_path_budget_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-perfect", "--generate", "bipartite:60", "--seed", "1")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "guard: odd-hole search capped at 524288 chordless paths\n"
+
 
 class TestGuardBeforeWork:
     """--max-n rejects a graph on its header or its spec alone."""
@@ -373,6 +385,13 @@ class TestCorpus:
         assert code == 1
         assert out == ""
         assert err == "error: --count must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("n", ["3", "-3"])
+    def test_n_below_four_is_an_input_error(self, capsys, n):
+        code, out, err = run(capsys, "corpus", "--count", "2", "--n", n, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --n must be >= 4, got {n}\n"
 
     def test_n_above_the_chain_cap_refused_before_drawing(self, capsys, monkeypatch):
         def drawn(**kwargs):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cliquecore import game_worth, maximal_cliques, oracle
 from cliquecore.corpus import (
     breakable_vertices,
@@ -23,6 +25,14 @@ def test_build_is_deterministic():
     assert a == b
     c = build_corpus(10, seed=5, include_imperfect=True)
     assert a != c
+
+
+@pytest.mark.parametrize("n_min, n_max", [(4, 3), (4, 2), (1, 1)])
+def test_vertex_count_range_refused(n_min, n_max):
+    # (4, 3) divided by zero, (4, 2) drew 4-vertex graphs and (1, 1) never
+    # found a one-vertex graph with two maximal cliques.
+    with pytest.raises(ValueError, match="2 <= n_min <= n_max"):
+        build_corpus(2, seed=1, n_min=n_min, n_max=n_max)
 
 
 def test_instances_satisfy_generation_contract():

@@ -1,7 +1,8 @@
 """Fuzz tests for the two input formats read by the CLI.
 
-Arbitrary graph files go through ``solve`` and arbitrary imputation
-files through ``verify`` (certificate and exhaustive) on a tiny graph.
+Arbitrary graph files go through ``solve`` and ``check-perfect``, and
+arbitrary imputation files through ``verify`` (certificate and
+exhaustive) on a tiny graph.
 Every input must end in a result or in exit code 1 (input error) or 2
 (guard) with a one-line message on stderr, never in a traceback.
 """
@@ -10,6 +11,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -78,18 +80,24 @@ def graph_texts(draw):
     return "\n".join(lines)
 
 
+@pytest.mark.parametrize("verb", ["solve", "check-perfect"])
 @given(content=st.one_of(graph_texts().map(str.encode), st.binary(max_size=40)))
 @example(content=b"p 2 0\n\xff\xfe")
 @example(content=b"p 1 0\nw 0 " + b"1" * 5000)
 @example(content=b"p 3 2\ne 0 1\ne 1 2\nw 1 7/4\nl 0 \xe2\x82\xac\n")
 @FUZZ
-def test_graph_file_never_crashes(tmp_path_factory, content):
+def test_graph_file_never_crashes(tmp_path_factory, verb, content):
     path = tmp_path_factory.mktemp("fuzz") / "g.graph"
     path.write_bytes(content)
-    code, out, err = run_main(["solve", "--input", str(path), "--json"])
-    assert_clean_exit(code, out, err, (0,))
-    if code == 0:
-        assert json.loads(out)["dual"]["value"] == json.loads(out)["primal"]["value"]
+    code, out, err = run_main([verb, "--input", str(path), "--json"])
+    if verb == "solve":
+        assert_clean_exit(code, out, err, (0,))
+        if code == 0:
+            assert json.loads(out)["dual"]["value"] == json.loads(out)["primal"]["value"]
+    else:
+        assert_clean_exit(code, out, err, (0, 3))
+        if code in (0, 3):
+            assert json.loads(out)["perfect"] is (code == 0)
 
 
 # Imputation files: a JSON object giving real clique keys exact amounts

@@ -178,8 +178,10 @@ class TestIntegralCliqueCover:
 
     @given(graphs(max_n=6, max_weight=3))
     @settings(max_examples=40, deadline=None)
-    # Stable set 6, cover 8: the search deepens through three targets.
+    # Stable set 6, cover 8: the search tries 6, 7 and 8.
     @example(cycle(5).with_weights([3] * 5))
+    # Stable set 10, cover 13: 14 is the first fit, and bisection finds 13.
+    @example(cycle(5).with_weights([5] * 5))
     # 2,000 units on one clique, more than the recursion limit.
     @example(complete(3).with_weights([2000] * 3))
     def test_matches_exhaustive_multiplicity_scan(self, g):
@@ -188,6 +190,20 @@ class TestIntegralCliqueCover:
         ours = min_integral_clique_cover_value(g)
         reference = bf.min_clique_cover_value(g, [int(w) for w in g.weights])
         assert ours == (reference or 0)
+
+    def test_wide_gap_takes_few_passes(self):
+        # Stable set 4,000, cover 5,000: one pass per unit of gap took
+        # about 7 s.  The child process turns a slow search into a timeout.
+        script = (
+            "from cliquecore import cycle, min_integral_clique_cover_value\n"
+            "print(min_integral_clique_cover_value(cycle(5).with_weights([2000] * 5)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cliquecore.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=2
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "5000\n"
 
     def test_weighted_path(self, path3):
         # demands 1,2,1 over cliques {0,1} and {1,2}: one unit each suffices

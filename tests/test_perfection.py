@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,12 +11,12 @@ from cliquecore import (
     cycle,
     find_odd_hole,
     is_perfect,
-    omega_chi,
     paley3x3,
     path,
     random_bipartite,
     random_chordal,
 )
+from cliquecore import perfection
 
 import _bruteforce as bf
 from conftest import graphs, random_graph
@@ -53,9 +56,11 @@ class TestFindOddHole:
     def test_even_cycle_has_none(self):
         assert find_odd_hole(cycle(6)) is None
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            find_odd_hole(WeightedGraph.from_edges(17))
+    def test_guard(self, monkeypatch):
+        # C9 grows more than 16 chordless paths before its hole closes.
+        monkeypatch.setattr(perfection, "MAX_HOLE_PATHS", 16)
+        with pytest.raises(GuardError, match="capped at 16 chordless paths"):
+            find_odd_hole(cycle(9))
 
 
 def grid4x4():
@@ -139,6 +144,12 @@ class TestIsPerfect:
     def test_agrees_with_naive_definitional_scan(self, g):
         assert is_perfect(g).is_perfect == bf.definitionally_perfect(g)
 
+    @given(graphs(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_definitional_tables(self, g):
+        assert is_perfect(g).is_perfect == bf.perfect_by_tables(g)
+        assert is_perfect(complement(g)).is_perfect == bf.perfect_by_tables(complement(g))
+
     def test_json_round(self, c5):
         data = is_perfect(c5).to_json_dict()
         assert data["perfect"] is False
@@ -147,23 +158,37 @@ class TestIsPerfect:
 
 
 class TestOmegaChi:
+    """The definitional tables of ``_bruteforce`` against its naive scans."""
+
     def test_k3(self, k3):
-        assert omega_chi(k3) == (3, 3)
+        assert bf.omega_chi(k3) == (3, 3)
 
     def test_c5(self, c5):
-        assert omega_chi(c5) == (2, 3)
+        assert bf.omega_chi(c5) == (2, 3)
 
     def test_paley(self):
-        assert omega_chi(paley3x3()) == (3, 3)
+        assert bf.omega_chi(paley3x3()) == (3, 3)
 
     def test_empty(self):
-        assert omega_chi(WeightedGraph.from_edges(0)) == (0, 0)
+        assert bf.omega_chi(WeightedGraph.from_edges(0)) == (0, 0)
 
     @given(graphs(max_n=6))
     @settings(max_examples=30, deadline=None)
     def test_matches_naive(self, g):
-        assert omega_chi(g) == (bf.omega(g), bf.chi(g))
+        assert bf.omega_chi(g) == (bf.omega(g), bf.chi(g))
+        assert bf.perfect_by_tables(g) == bf.definitionally_perfect(g)
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            omega_chi(WeightedGraph.from_edges(13))
+
+def test_references_import_only_the_graph_module():
+    """``_bruteforce`` may use the package's graphs, never its searches or
+    LP code, or agreement with the library would prove nothing."""
+    tree = ast.parse(Path(bf.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "cliquecore":
+            modules |= {f"cliquecore.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert sorted(m for m in modules if m.split(".")[0] == "cliquecore") == ["cliquecore.graph"]
