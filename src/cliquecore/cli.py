@@ -87,9 +87,10 @@ def _load_graph(args) -> WeightedGraph:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args)
-    # The fallback search's cap holds even when the LP proves the worth:
-    # above it the LP's own size is not yet bounded by any guard.  It is
-    # checked before the cliques, whose enumeration alone can take seconds.
+    # The fallback search's cap holds even when the LP proves the worth,
+    # because certified_worth falls back to that search whenever the LP's
+    # optimum is fractional.  It is checked before the cliques, whose
+    # enumeration alone can take seconds.
     oracle.check_stable_set_size(g.n)
     cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
@@ -292,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_graph:
             p.add_argument("--input", metavar="PATH", help="graph file to load")
             p.add_argument("--generate", metavar="SPEC", help="generator spec, e.g. paley3x3, cycle:5")
+            p.add_argument(
+                "--max-n", type=int, dest="max_n",
+                help=f"refuse graphs larger than this (default {DEFAULT_MAX_N})",
+            )
         p.add_argument("--seed", type=int, help="seed for random generators")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument(
-            "--max-n", type=int, dest="max_n",
-            help=f"refuse graphs larger than this (default {DEFAULT_MAX_N})",
-        )
 
     p = sub.add_parser("solve", help="worth, primal optimum and dual imputation")
     add_common(p)

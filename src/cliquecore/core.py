@@ -92,19 +92,14 @@ class Imputation:
         cls, cliques: CliqueSet, mapping: Mapping[str, Fraction | int]
     ) -> "Imputation":
         """Build from {canonical clique key: int or Fraction amount}; unknown
-        keys raise KeyError.  Cliques absent from the mapping hold zero.  The
-        amounts are summed as ints over their common denominator."""
-        given = []
+        keys raise KeyError.  Cliques absent from the mapping hold zero."""
+        values: list[Fraction | int] = [0] * len(cliques)
         for key, amount in mapping.items():
             cid = cliques.key_to_id.get(key)
             if cid is None:
                 raise KeyError(f"{clip(repr(key))} is not a maximal clique of this graph")
-            given.append((cid, amount))
-        scale = math.lcm(*[a.denominator for _, a in given])
-        amounts = [0] * len(cliques)
-        for cid, a in given:
-            amounts[cid] += a.numerator * (scale // a.denominator)
-        return cls(scale, tuple(amounts))
+            values[cid] = amount
+        return cls.of(values)
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:
         return {

@@ -43,8 +43,8 @@ def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     or all-integer vector), so ``Fraction(ints[i], D) == values[i]``."""
     # Unpack a list, not a generator: CPython sizes the argument tuple of a
     # generator by resizing a guess, and in a loop that leaves up to 2000
-    # spare tuples of each small size on its free lists (about 2 MB of
-    # resident memory when every simplex row is scaled here).
+    # spare tuples of each small size on its free lists, where they stay
+    # resident.
     scale = math.lcm(*[x.denominator for x in values])
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 

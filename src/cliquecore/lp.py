@@ -22,8 +22,10 @@ phase suffices and the m maximal cliques widen the tableau without
 lengthening it.  Its pivot rules (see :func:`_dual_simplex`) make every
 run reproducible (identical input, identical optimal vertex), guarantee
 termination, and reached an integral cover on every perfect graph tried,
-where dual Bland alone stops at halves or thirds on some.  It pivots on
-integer rows, each over one denominator of its own, and returns
+where dual Bland alone stops at halves or thirds on some.  The whole
+tableau is one matrix of ints over one denominator, the determinant of
+the current basis, and every division a pivot makes is exact
+(integer-preserving pivoting: Edmonds 1967; Bareiss 1968).  It returns
 Fractions; no floating point enters anywhere.  :func:`certify_optimum`
 checks both optima exactly, in scaled ints, reading only the LP rows and
 not the tableau, before anything is returned.  The cover LP builder
@@ -32,7 +34,6 @@ stays for ``--dump-lp``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -217,69 +218,65 @@ def _dual_simplex(
       whose basic column is smallest (dual Bland) for the rest of the
       solve, which guarantees termination.
 
-    Every tableau row, the reduced costs included, is a list of Python
-    ints over one positive int denominator of its own (row i stands for
-    ``tab[i] / den[i]``), kept in lowest terms by a gcd after each update
-    (fraction-free pivoting: Edmonds 1967; Bareiss 1968).  Sign tests are
-    on ints and comparisons cross-multiply, so every choice and the final
-    basis are those of the same simplex on Fractions.
+    The whole tableau, reduced costs included, is one matrix of Python
+    ints over one positive denominator ``det``, the absolute determinant
+    of the current basis; the right-hand sides are further scaled by
+    ``scale``, the lcm of the denominators of c, so the surplus basis
+    starts integral with ``det = 1``.  A pivot on entry p > 0 (after
+    negating its row) turns every other row into
+    ``(p * row - f * prow) / det`` and sets ``det = p``; by Sylvester's
+    identity each entry is then, up to sign, a minor of the starting
+    matrix, so the division is exact (integer-preserving pivoting:
+    Edmonds 1967; Bareiss 1968).  Sign tests are on ints, right-hand
+    sides compare directly, and ratios cross-multiply, so every choice and
+    the final basis are those of the same simplex on Fractions.
 
     Returns the status ("optimal" or "unbounded"), then x and the row
-    duals y, as Fractions: y_i is the value of column i where basic, and
-    x_v the final reduced cost of surplus column v.
+    duals y, as Fractions: y_i is the value of column i where basic, over
+    ``det * scale``, and x_v the final reduced cost of surplus column v,
+    over ``det``.
     """
     m = len(rows)
     ncols = m + nv
 
-    # Row v starts over the denominator of c_v: -1 on each y_i with v in
-    # rows[i], 1 on s_v, and -c_v.
+    # Row v: -1 on each y_i with v in rows[i], 1 on s_v, and -c_v * scale.
+    scale, cs = to_int_scale(c)
     tab: list[list[int]] = []
-    den: list[int] = []
-    for v, a in enumerate(c):
-        d = a.denominator
+    for v, a in enumerate(cs):
         dense = [0] * (ncols + 1)
-        dense[m + v] = d
-        dense[ncols] = -a.numerator
+        dense[m + v] = 1
+        dense[ncols] = -a
         tab.append(dense)
-        den.append(d)
     for i, row in enumerate(rows):
         for v in row:
-            tab[v][i] = -den[v]
+            tab[v][i] = -1
     basis = list(range(m, ncols))
     tab.append([1] * m + [0] * (nv + 1))
-    den.append(1)
-
-    def store(i: int, row: list[int], d: int):
-        # Lowest terms: divide the row and its denominator by their gcd.
-        if d > 1 and (g := math.gcd(d, *row)) > 1:
-            row = [a // g for a in row]
-            d //= g
-        tab[i] = row
-        den[i] = d
+    det = 1
 
     def pivot(pr: int, pc: int):
-        # Also updates the reduced costs at tab[nv].  Dividing row pr by
-        # its pivot entry leaves the same ints over the pivot entry (sign
-        # moved into the row).
-        prow = tab[pr]
+        # Also updates the reduced costs at tab[nv].  The pivot row keeps
+        # its ints (sign moved into the row), now over p.  Rows are mostly
+        # zeros and p mostly equals det, so rescale a row only when p !=
+        # det and otherwise subtract only at the pivot row's nonzero
+        # entries (f * b is then a multiple of det).
+        nonlocal det
+        prow = tab[pr] = [-a for a in tab[pr]]
         p = prow[pc]
-        if p < 0:
-            prow = [-a for a in prow]
-            p = -p
-        store(pr, prow, p)
-        prow, p = tab[pr], den[pr]
-        # Row i becomes (p * row - f * prow) / (den[i] * p).  Rows are
-        # mostly zeros and p is mostly 1, so scale only when p > 1 and
-        # subtract only at the pivot row's nonzero entries.
         nonzero = [(j, b) for j, b in enumerate(prow) if b]
         for i, row in enumerate(tab):
+            if i == pr:
+                continue
             f = row[pc]
-            if f and i != pr:
-                if p > 1:
-                    row = [p * a for a in row]
+            if p != det:
+                row = [p * a for a in row]
                 for j, b in nonzero:
                     row[j] -= f * b
-                store(i, row, den[i] * p)
+                tab[i] = [a // det for a in row]
+            elif f:
+                for j, b in nonzero:
+                    row[j] -= f * b // det
+        det = p
         basis[pr] = pc
 
     stalled, bland = 0, False
@@ -288,15 +285,12 @@ def _dual_simplex(
         pr = -1
         for i in range(nv):
             b = tab[i][ncols]
-            if b < 0 and (
-                pr < 0
-                or (basis[i] < basis[pr] if bland else b * best_d < best_b * den[i])
-            ):
-                pr, best_b, best_d = i, b, den[i]
+            if b < 0 and (pr < 0 or (basis[i] < basis[pr] if bland else b < best_b)):
+                pr, best_b = i, b
         if pr < 0:
             break
-        # Ratio test on z_j / -a_j, cross-multiplied (a < 0; the row's
-        # own denominator is common to all ratios).
+        # Ratio test on z_j / -a_j, cross-multiplied (a < 0; det is common
+        # to all ratios).
         z, prow = tab[nv], tab[pr]
         pc = -1
         for j in range(ncols):
@@ -311,9 +305,8 @@ def _dual_simplex(
     y = [ZERO] * m
     for i in range(nv):
         if basis[i] < m:
-            y[basis[i]] = Fraction(tab[i][ncols], den[i])
-    z = tab[nv]
-    return "optimal", [Fraction(a, den[nv]) for a in z[m:ncols]], y
+            y[basis[i]] = Fraction(tab[i][ncols], det * scale)
+    return "optimal", [Fraction(a, det) for a in tab[nv][m:ncols]], y
 
 
 def build_stable_set_lp(

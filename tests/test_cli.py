@@ -393,6 +393,15 @@ class TestCorpus:
         assert out == ""
         assert err == f"error: --n must be >= 4, got {n}\n"
 
+    def test_max_n_is_not_a_corpus_flag(self, capsys):
+        code, out, err = run(
+            capsys, "corpus", "--seed", "1", "--count", "2", "--n", "5", "--max-n", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--max-n" in err
+        assert err.count("\n") == 1
+
     def test_n_above_the_chain_cap_refused_before_drawing(self, capsys, monkeypatch):
         def drawn(**kwargs):
             raise AssertionError("corpus drawn before the size guard")

@@ -425,6 +425,25 @@ def packing_lps(draw):
     )
 
 
+# Pivots on these G(20, 1/2) graphs reach basis determinants of 28 and 13
+# (21 and 8 under dual Bland), where the other fixed seeds here reach 3 at
+# most.  Both optimal x hold sixths, so the final bases stay fractional.
+LARGE_DETERMINANT_SEEDS = [57, 62]
+
+
+def sixty_digit_weights(g, seed):
+    """``g`` with each weight a reduced fraction of two random 60-digit
+    ints, so the weights' common denominator has about 1,200 digits."""
+    rng = random.Random(seed)
+    return g.with_weights(
+        F(rng.randrange(10**59, 10**60), rng.randrange(10**59, 10**60)) for _ in range(g.n)
+    )
+
+
+def has_sixths(x):
+    return any(v.denominator == 6 for v in x)
+
+
 class TestAgainstFractionSimplex:
     @given(graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
@@ -445,6 +464,16 @@ class TestAgainstFractionSimplex:
         g = random_graph(n, 7)
         mixed = [F(1, 3), F(5, 6), F(7, 4), F(2), F(0), F(11, 12)]
         assert_both_game_lps_match(g.with_weights(mixed[v % 6] * (v + 1) for v in range(n)))
+
+    @pytest.mark.parametrize("seed", LARGE_DETERMINANT_SEEDS)
+    def test_game_lps_large_determinants(self, seed):
+        problem = stable_set_lp(random_graph(20, seed, max_weight=100))
+        result = assert_same_as_fraction_simplex(problem)
+        assert has_sixths(result.x)
+
+    def test_game_lps_sixty_digit_weights(self):
+        g = sixty_digit_weights(random_graph(20, 57), 57)
+        assert_same_as_fraction_simplex(stable_set_lp(g))
 
     @pytest.mark.parametrize(
         "problem,status",
@@ -520,6 +549,7 @@ def assert_same_under_dual_bland(problem, monkeypatch):
     fast = lp_module._dual_simplex(nv, problem.rows, c)
     assert fast == bf.dual_simplex_max(nv, problem.rows, c, stall_sweeps=0)
     assert solve_general(problem).status == fast[0]
+    return fast
 
 
 class TestStallFallback:
@@ -532,6 +562,16 @@ class TestStallFallback:
     @pytest.mark.parametrize("n", range(12, 19))
     def test_dual_bland_throughout_random(self, n, monkeypatch):
         assert_same_under_dual_bland(stable_set_lp(random_graph(n, n, max_weight=100)), monkeypatch)
+
+    @pytest.mark.parametrize("seed", LARGE_DETERMINANT_SEEDS)
+    def test_dual_bland_large_determinants(self, seed, monkeypatch):
+        problem = stable_set_lp(random_graph(20, seed, max_weight=100))
+        _, x, _ = assert_same_under_dual_bland(problem, monkeypatch)
+        assert has_sixths(x)
+
+    def test_dual_bland_sixty_digit_weights(self, monkeypatch):
+        g = sixty_digit_weights(random_graph(20, 57), 57)
+        assert_same_under_dual_bland(stable_set_lp(g), monkeypatch)
 
 
 def weighted_spec(spec, seed):
