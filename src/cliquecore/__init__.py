@@ -49,7 +49,6 @@ from .graph import (
 from .lp import (
     DualSolution,
     LinearProgram,
-    LPResult,
     PrimalSolution,
     build_clique_cover_lp,
     build_stable_set_lp,
@@ -84,7 +83,6 @@ __all__ = [
     "GraphParseError",
     "GuardError",
     "Imputation",
-    "LPResult",
     "LinearProgram",
     "PerfectionVerdict",
     "PrimalSolution",

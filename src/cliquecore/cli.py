@@ -106,23 +106,23 @@ def cmd_solve(args) -> int:
             except OSError as exc:
                 raise _InputError(f"cannot write {path}: {exc}") from exc
     dual_matches = dual.value == worth
+    x = primal.x
+    # The cover in lowest terms: integral exactly when its scale is 1.
+    cover = Imputation(dual.scale, dual.amounts)
+    firms = cover.to_json_dict(cliques)
     if args.json:
         _emit_json(
             {
                 "worth": fraction_str(worth),
                 "primal": {
                     "value": fraction_str(primal.value),
-                    "x": [fraction_str(v) for v in primal.x],
-                    "integral": is_integral(primal.x),
+                    "x": [fraction_str(v) for v in x],
+                    "integral": is_integral(x),
                 },
                 "dual": {
                     "value": fraction_str(dual.value),
-                    "y": {
-                        cliques.key(cid): fraction_str(v)
-                        for cid, v in enumerate(dual.y)
-                        if v != 0
-                    },
-                    "integral": is_integral(dual.y),
+                    "y": firms,
+                    "integral": cover.scale == 1,
                 },
                 "dualEqualsWorth": dual_matches,
             }
@@ -130,12 +130,11 @@ def cmd_solve(args) -> int:
     else:
         print(f"worth: {fraction_str(worth)}")
         print(f"primal optimum: {fraction_str(primal.value)}"
-              f" (integral: {'yes' if is_integral(primal.x) else 'no'})")
+              f" (integral: {'yes' if is_integral(x) else 'no'})")
         print(f"dual optimum: {fraction_str(dual.value)}"
-              f" (integral: {'yes' if is_integral(dual.y) else 'no'})")
-        for cid, v in enumerate(dual.y):
-            if v != 0:
-                print(f"  firm {cliques.key(cid)}: {fraction_str(v)}")
+              f" (integral: {'yes' if cover.scale == 1 else 'no'})")
+        for key, amount in firms.items():
+            print(f"  firm {key}: {amount}")
     if not dual_matches:
         print(
             f"warning: dual optimum {fraction_str(dual.value)} != worth "

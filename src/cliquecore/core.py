@@ -201,7 +201,8 @@ def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction:
     """The game worth, proved by a certified optimum of the stable-set LP
     (``lp.solve_game``) when it can be, else searched by :func:`game_worth`.
 
-    When ``primal.x`` is 0/1, its support is checked to be stable on
+    When ``primal.x`` is 0/1 (each of ``primal.amounts`` is 0 or
+    ``primal.scale``), its support is checked to be stable on
     ``g.adj``, not through the clique list.  A stable set's weight is at
     most the worth, and the worth is at most the total of the certified
     cover on g's cliques, which ``lp.certify_optimum`` has shown to equal
@@ -210,8 +211,8 @@ def certified_worth(g: WeightedGraph, primal: PrimalSolution) -> Fraction:
     0/1; a fractional ``x``, or a support that is not stable, proves
     nothing and falls back to branch and bound.
     """
-    members = [v for v, xv in enumerate(primal.x) if xv]
-    if all(primal.x[v] == 1 for v in members):
+    members = [v for v, a in enumerate(primal.amounts) if a]
+    if all(primal.amounts[v] == primal.scale for v in members):
         support = scenario_mask(members)
         if not any(g.adj[v] & support for v in members):
             return primal.value
@@ -233,11 +234,10 @@ def compute_core_imputation(
     if cliques is None:
         cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
-    imputation = Imputation.of(dual.y)
     worth = certified_worth(g, primal)
-    if imputation.total != worth:
-        raise DualGapError(imputation.total, worth)
-    return imputation
+    if dual.value != worth:
+        raise DualGapError(dual.value, worth)
+    return Imputation(dual.scale, dual.amounts)
 
 
 class CertificateChecker:

@@ -25,10 +25,10 @@ termination, and reached an integral cover on every perfect graph tried,
 where dual Bland alone stops at halves or thirds on some.  The whole
 tableau is one matrix of ints over one denominator, the determinant of
 the current basis, and every division a pivot makes is exact
-(integer-preserving pivoting: Edmonds 1967; Bareiss 1968).  It returns
-Fractions; no floating point enters anywhere.  :func:`certify_optimum`
-checks both optima exactly, in scaled ints, reading only the LP rows and
-not the tableau, before anything is returned.  The cover LP builder
+(integer-preserving pivoting: Edmonds 1967; Bareiss 1968).  Both optima
+come back as those ints, with no float and no Fraction per coordinate;
+:func:`certify_optimum` checks them exactly, reading only the LP rows
+and not the tableau, before anything is returned.  The cover LP builder
 stays for ``--dump-lp``.
 """
 
@@ -43,7 +43,6 @@ from .cliques import CliqueSet
 from .errors import GuardError
 from .graph import WeightedGraph, fraction_str, to_int_scale
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -52,54 +51,56 @@ class LinearProgram:
     """max or min of ``objective . x`` subject to sparse rows, x >= 0.
 
     ``rows[i]`` maps variable index to coefficient; ``senses[i]`` is one of
-    ``"<="``, ``">="``, ``"="``.  Coefficients and right-hand sides are
-    Fractions or ints.  :func:`lp_format` writes out any such LP;
-    :func:`solve_general` solves only the stable-set form.
+    ``"<="``, ``">="``, ``"="``.  The objective, coefficients and
+    right-hand sides are Fractions or ints.  :func:`lp_format` writes out
+    any such LP; :func:`solve_general` solves only the stable-set form.
     """
 
     direction: str
-    objective: tuple[Fraction, ...]
+    objective: tuple[Fraction | int, ...]
     rows: tuple[dict[int, Fraction | int], ...]
     senses: tuple[str, ...]
     rhs: tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
-class LPResult:
-    """``duals[i]`` >= 0 is the multiplier of row i in the dual of the LP,
-    set only when status is "optimal"."""
+class _Optimum:
+    """One optimum of the game LP and its value: coordinate i is
+    ``amounts[i] / scale``, as the final tableau holds it (not reduced;
+    ``core.Imputation`` reduces a cover)."""
 
-    status: str  # "optimal" | "unbounded"
-    x: tuple[Fraction, ...] | None
-    value: Fraction | None
-    duals: tuple[Fraction, ...] | None = None
-
-
-@dataclass(frozen=True)
-class PrimalSolution:
-    """Optimal fractional stable set: x[v] in [0,1] per vertex."""
-
-    x: tuple[Fraction, ...]
+    scale: int
+    amounts: tuple[int, ...]
     value: Fraction
 
-
-@dataclass(frozen=True)
-class DualSolution:
-    """Optimal fractional clique cover: y[cid] >= 0 per maximal clique."""
-
-    y: tuple[Fraction, ...]
-    value: Fraction
+    def _fractions(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(a, self.scale) for a in self.amounts])
 
 
-def solve_general(lp: LinearProgram) -> LPResult:
-    """Exact optimum of a stable-set LP with certified row duals.
+class PrimalSolution(_Optimum):
+    """Optimal fractional stable set, x[v] in [0, 1] per vertex, over the
+    final basis determinant."""
+
+    x = property(_Optimum._fractions)
+
+
+class DualSolution(_Optimum):
+    """Optimal fractional clique cover, y[cid] >= 0 per maximal clique,
+    over the final basis determinant times the weights' common denominator."""
+
+    y = property(_Optimum._fractions)
+
+
+def solve_general(lp: LinearProgram) -> tuple[PrimalSolution, DualSolution] | None:
+    """Exact optimum of a stable-set LP with certified row duals, or None
+    when the LP is unbounded.
 
     The LP must have the form :func:`build_stable_set_lp` produces:
     maximize, every row a 0/1 set of in-range variables read ``<= 1``;
     any other LP raises ValueError.  The objective may have any sign (a
-    variable in no row with a positive cost makes the LP unbounded).  On
-    success ``duals`` is a basic solution of the cover LP and ``x`` the
-    complementary basic solution of the same final basis.
+    variable in no row with a positive cost makes the LP unbounded).  The
+    dual, one multiplier per row, is a basic solution of the cover LP and
+    the primal the complementary one of the same final basis.
 
     The name predates the restriction to one form and is kept: every game
     solve passes through it, and the benchmark's tracer
@@ -118,11 +119,12 @@ def solve_general(lp: LinearProgram) -> LPResult:
                 raise ValueError(f"row {i} references variable {j} of {nv}")
             if a != 1:
                 raise ValueError(f"row {i} has coefficient {a} on variable {j}, not 1")
-    status, x, duals = _dual_simplex(nv, lp.rows, lp.objective)
-    if status != "optimal":
-        return LPResult(status=status, x=None, value=None)
-    value = certify_optimum(lp, x, duals)
-    return LPResult(status="optimal", x=tuple(x), value=value, duals=tuple(duals))
+    solved = _dual_simplex(nv, lp.rows, lp.objective)
+    if solved is None:
+        return None
+    value = certify_optimum(lp, *solved)
+    x_scale, xs, y_scale, ys = solved
+    return PrimalSolution(x_scale, tuple(xs), value), DualSolution(y_scale, tuple(ys), value)
 
 
 def first_uncovered_scaled(
@@ -150,23 +152,20 @@ def first_uncovered_scaled(
 
 
 def certify_optimum(
-    lp: LinearProgram, x: Sequence[Fraction], duals: Sequence[Fraction]
+    lp: LinearProgram, x_scale: int, xs: Sequence[int], y_scale: int, ys: Sequence[int]
 ) -> Fraction:
-    """Exact proof that ``x`` is optimal for a stable-set LP, with ``duals``
-    as the witness: x feasible, the duals nonnegative and covering every
+    """Exact proof that x, ``x[j] = xs[j] / x_scale``, is optimal for a
+    stable-set LP, with the row duals ``y[i] = ys[i] / y_scale`` (both
+    scales positive, as :func:`_dual_simplex` returns them) as the
+    witness: x feasible, the duals nonnegative and covering every
     objective coefficient, and equal objective values.  Returns that
     value; raises RuntimeError naming the first failed condition.
 
-    Runs on ints: ``x``, the duals and the objective are each scaled once
-    by their common denominator (``to_int_scale``), so a row of ``x`` is
-    feasible when its int sum is at most the scale of ``x``, and both
-    objective values are int dot products over known denominators.  Only
-    the LP rows are read, never the tableau that produced ``x``.
+    Runs on those ints and the objective scaled once (``to_int_scale``),
+    and reads only the LP rows, never the tableau that produced x.
     """
-    x_scale, xs = to_int_scale(x)
     if any(v < 0 for v in xs):
         raise RuntimeError("certificate: x has a negative coordinate")
-    y_scale, ys = to_int_scale(duals)
     for i, row in enumerate(lp.rows):
         if sum(xs[j] for j in row) > x_scale:
             raise RuntimeError(f"certificate: x violates row {i}")
@@ -177,11 +176,10 @@ def certify_optimum(
     if short is not None:
         raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
     value = Fraction(sum(map(mul, cs, xs)), c_scale * x_scale)
-    dual_value = Fraction(sum(ys), y_scale)
-    if value != dual_value:
-        raise RuntimeError(
-            f"certificate: primal {fraction_str(value)} != dual {fraction_str(dual_value)}"
-        )
+    dual_total = sum(ys)
+    if value.numerator * y_scale != dual_total * value.denominator:
+        dual_value = fraction_str(Fraction(dual_total, y_scale))
+        raise RuntimeError(f"certificate: primal {fraction_str(value)} != dual {dual_value}")
     return value
 
 
@@ -192,8 +190,8 @@ STALL_SWEEPS = 1
 
 
 def _dual_simplex(
-    nv: int, rows: Sequence[Iterable[int]], c: Sequence[Fraction]
-) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:
+    nv: int, rows: Sequence[Iterable[int]], c: Sequence[Fraction | int]
+) -> tuple[int, list[int], int, list[int]] | None:
     """Optimum of max c.x subject to x(row) <= 1 for every row (a set of
     variable indices) and x >= 0, by dual simplex on its covering dual
 
@@ -231,10 +229,11 @@ def _dual_simplex(
     sides compare directly, and ratios cross-multiply, so every choice and
     the final basis are those of the same simplex on Fractions.
 
-    Returns the status ("optimal" or "unbounded"), then x and the row
-    duals y, as Fractions: y_i is the value of column i where basic, over
-    ``det * scale``, and x_v the final reduced cost of surplus column v,
-    over ``det``.
+    Returns None when the LP is unbounded, else the ints the final
+    tableau holds, as ``(det, xs, det * scale, ys)``: x_v is ``xs[v] /
+    det``, the final reduced cost of surplus column v, and y_i is
+    ``ys[i] / (det * scale)``, the value of column i where basic and 0
+    elsewhere.  Neither pair is reduced to lowest terms.
     """
     m = len(rows)
     ncols = m + nv
@@ -298,27 +297,27 @@ def _dual_simplex(
             if a < 0 and (pc < 0 or z[j] * best_a > best_z * a):
                 pc, best_a, best_z = j, a, z[j]
         if pc < 0:
-            return "unbounded", None, None
+            return None
         stalled = stalled + 1 if best_z == 0 else 0
         pivot(pr, pc)
 
-    y = [ZERO] * m
+    ys = [0] * m
     for i in range(nv):
         if basis[i] < m:
-            y[basis[i]] = Fraction(tab[i][ncols], det * scale)
-    return "optimal", [Fraction(a, det) for a in tab[nv][m:ncols]], y
+            ys[basis[i]] = tab[i][ncols]
+    return det, tab[nv][m:ncols], det * scale, ys
 
 
 def build_stable_set_lp(
-    weights: Sequence[Fraction], clique_members: Sequence[Iterable[int]]
+    weights: Sequence[Fraction | int], clique_members: Sequence[Iterable[int]]
 ) -> LinearProgram:
-    """Fractional stable-set relaxation over the given clique rows, with
-    int coefficients and right-hand sides."""
+    """Fractional stable-set relaxation over the given clique rows: int
+    coefficients and right-hand sides, the weights as given."""
     rows = tuple(dict.fromkeys(q, 1) for q in clique_members)
     m = len(rows)
     return LinearProgram(
         direction="max",
-        objective=tuple(Fraction(w) for w in weights),
+        objective=tuple(weights),
         rows=rows,
         senses=("<=",) * m,
         rhs=(1,) * m,
@@ -363,10 +362,10 @@ def solve_game(g: WeightedGraph, cliques: CliqueSet) -> tuple[PrimalSolution, Du
     cells = g.n * (g.n + len(cliques) + 1)
     if cells > MAX_TABLEAU_CELLS:
         raise GuardError(f"game LP capped at {MAX_TABLEAU_CELLS} tableau cells, needs {cells}")
-    res = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
-    if res.status != "optimal":
-        raise RuntimeError(f"the stable-set LP must be solvable, got {res.status}")
-    return PrimalSolution(x=res.x, value=res.value), DualSolution(y=res.duals, value=res.value)
+    solved = solve_general(build_stable_set_lp(g.weights, cliques.cliques))
+    if solved is None:
+        raise RuntimeError("the stable-set LP must be solvable, got unbounded")
+    return solved
 
 
 def solve_primal(g: WeightedGraph, cliques: CliqueSet) -> PrimalSolution:

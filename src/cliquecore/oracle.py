@@ -245,7 +245,8 @@ def four_program_chain(
     if g.n > MAX_CHAIN_N:
         raise GuardError(f"four-program chain capped at n <= {MAX_CHAIN_N}")
     reweighted = g.with_weights(zero_one_weights)
-    if any(x not in (0, 1) for x in reweighted.weights):
+    scale, ints = reweighted.scaled_weights
+    if scale != 1 or any(x not in (0, 1) for x in ints):
         raise ValueError("chain weights must be 0 or 1")
 
     ip = max_weight_stable_set(reweighted).total_cost

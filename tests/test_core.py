@@ -623,7 +623,7 @@ class TestCertifiedWorth:
         searched = counting_searches(monkeypatch)
         assert certified_worth(k3, primal) == 1
         assert searched == []
-        forged = type(primal)(x=(F(1), F(1), F(0)), value=F(2))
+        forged = type(primal)(scale=1, amounts=(1, 1, 0), value=F(2))
         assert certified_worth(k3, forged) == 1
         assert searched == [k3]
 

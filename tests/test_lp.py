@@ -25,7 +25,9 @@ from cliquecore import (
     solve_game,
     solve_general,
     solve_primal,
+    verify_core_certificate,
 )
+from cliquecore import core as core_module
 from cliquecore import lp as lp_module
 from cliquecore.cli import main
 from cliquecore.core import certified_worth
@@ -50,10 +52,10 @@ def lp(direction, objective, rows, senses, rhs):
 
 class TestSolveGeneral:
     def test_single_upper_bound(self):
-        res = solve_general(lp("max", [1], [{0: 1}], ["<="], [1]))
-        assert res.status == "optimal"
-        assert res.value == 1
-        assert res.x == (F(1),)
+        primal, dual = solve_general(lp("max", [1], [{0: 1}], ["<="], [1]))
+        assert primal.value == dual.value == 1
+        assert primal.x == (F(1),)
+        assert dual.y == (F(1),)
 
     # Only the stable-set form is solved; any other LP is refused before
     # any pivot.
@@ -70,8 +72,7 @@ class TestSolveGeneral:
             solve_general(lp("max", [1], [{0: 1}, {0: 1}], ["<=", ">="], [1, 2]))
 
     def test_unbounded(self):
-        res = solve_general(lp("max", [1], [], [], []))
-        assert res.status == "unbounded"
+        assert solve_general(lp("max", [1], [], [], [])) is None
 
     def test_negative_rhs_normalization(self):
         with pytest.raises(ValueError, match="row 0 has coefficient -1 on variable 0"):
@@ -99,9 +100,8 @@ class TestSolveGeneral:
             solve_general(problem)
 
     def test_zero_variables(self):
-        res = solve_general(lp("max", [], [], [], []))
-        assert res.status == "optimal"
-        assert res.value == 0
+        primal, dual = solve_general(lp("max", [], [], [], []))
+        assert primal.value == dual.value == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -109,22 +109,22 @@ class TestSolveGeneral:
 
     def test_exact_fractions_no_float(self):
         # the edges of a triangle: the optimum is a half on every vertex
-        res = solve_general(
+        primal, _ = solve_general(
             lp("max", [1, 1, 1], [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], ["<="] * 3, [1] * 3)
         )
-        assert res.value == F(3, 2)
-        assert res.x == (F(1, 2),) * 3
+        assert primal.value == F(3, 2)
+        assert primal.x == (F(1, 2),) * 3
 
     def test_degenerate_lp_terminates(self):
         # many redundant rows through the same vertex; Bland must not cycle
         rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {1: 1}]
-        res = solve_general(lp("max", [1, 1], rows, ["<="] * 5, [1] * 5))
-        assert res.value == 1
+        primal, _ = solve_general(lp("max", [1, 1], rows, ["<="] * 5, [1] * 5))
+        assert primal.value == 1
 
     def test_stable_set_lp_on_c5_edge_cliques(self, c5):
         cs = maximal_cliques(c5)
-        res = solve_general(build_stable_set_lp(c5.weights, cs.cliques))
-        assert res.value == F(5, 2)
+        primal, _ = solve_general(build_stable_set_lp(c5.weights, cs.cliques))
+        assert primal.value == F(5, 2)
 
 
 class TestGameLPs:
@@ -264,16 +264,17 @@ class TestTableauDual:
     def test_certificate_rejects_tampered_dual(self, paley, change, failure):
         cs = maximal_cliques(paley)
         problem = build_stable_set_lp(paley.weights, cs.cliques)
-        res = solve_general(problem)
-        certify_optimum(problem, res.x, res.duals)
-        support = [c for c, v in enumerate(res.duals) if v > 0]
-        unused = [c for c, v in enumerate(res.duals) if v == 0]
+        primal, dual = solve_general(problem)
+        x = (primal.scale, primal.amounts)
+        certify_optimum(problem, *x, dual.scale, dual.amounts)
+        support = [c for c, v in enumerate(dual.y) if v > 0]
+        unused = [c for c, v in enumerate(dual.y) if v == 0]
         pick = {"first": support[0], "second": support[1], "unused": unused[0]}
-        bad = list(res.duals)
+        bad = list(dual.y)
         for which, delta in change:
             bad[pick[which]] += delta
         with pytest.raises(RuntimeError, match=failure):
-            certify_optimum(problem, res.x, bad)
+            certify_optimum(problem, *x, *to_int_scale(bad))
 
     @pytest.mark.parametrize(
         "which,delta,failure",
@@ -285,39 +286,55 @@ class TestTableauDual:
     def test_certificate_rejects_tampered_x(self, paley, which, delta, failure):
         cs = maximal_cliques(paley)
         problem = build_stable_set_lp(paley.weights, cs.cliques)
-        res = solve_general(problem)
+        primal, dual = solve_general(problem)
         pick = {
-            "first": next(v for v, a in enumerate(res.x) if a > 0),
-            "unused": next(v for v, a in enumerate(res.x) if a == 0),
+            "first": next(v for v, a in enumerate(primal.x) if a > 0),
+            "unused": next(v for v, a in enumerate(primal.x) if a == 0),
         }
-        bad = list(res.x)
+        bad = list(primal.x)
         bad[pick[which]] += delta
         with pytest.raises(RuntimeError, match=failure):
-            certify_optimum(problem, bad, res.duals)
+            certify_optimum(problem, *to_int_scale(bad), dual.scale, dual.amounts)
 
     def test_solver_runs_the_certificate(self, paley, monkeypatch):
         real = lp_module._dual_simplex
 
         def off_by_one(*args):
-            status, x, duals = real(*args)
-            return status, x, [duals[0] + 1] + duals[1:]
+            x_scale, xs, y_scale, ys = real(*args)
+            return x_scale, xs, y_scale, [ys[0] + y_scale] + ys[1:]
 
         monkeypatch.setattr(lp_module, "_dual_simplex", off_by_one)
         with pytest.raises(RuntimeError, match="certificate"):
             solve_dual(paley, maximal_cliques(paley))
 
 
+def as_fractions(solved):
+    """``_dual_simplex``'s ints as ``bf.dual_simplex_max`` returns its
+    result: the status, then x and the row duals as Fractions."""
+    if solved is None:
+        return "unbounded", None, None
+    x_scale, xs, y_scale, ys = solved
+    return "optimal", [F(a, x_scale) for a in xs], [F(a, y_scale) for a in ys]
+
+
+def status_of(solved):
+    """The status of a ``solve_general`` result."""
+    return "unbounded" if solved is None else "optimal"
+
+
 def assert_same_certificate(problem, x, duals):
-    """The int certificate returns the Fraction reference's value, or
-    raises its RuntimeError with the same message."""
+    """The int certificate, given ``x`` and ``duals`` scaled to ints,
+    returns the Fraction reference's value, or raises its RuntimeError
+    with the same message."""
+    scaled = (*to_int_scale(x), *to_int_scale(duals))
     try:
         expected = bf.certify_optimum(problem, x, duals)
     except RuntimeError as exc:
         with pytest.raises(RuntimeError) as info:
-            certify_optimum(problem, x, duals)
+            certify_optimum(problem, *scaled)
         assert str(info.value) == str(exc)
         return False
-    value = certify_optimum(problem, x, duals)
+    value = certify_optimum(problem, *scaled)
     assert type(value) is F and value == expected
     return True
 
@@ -337,8 +354,9 @@ class TestCertifyOptimumAgainstFraction:
         g = data.draw(strategy(max_n=7))
         cs = maximal_cliques(g)
         problem = build_stable_set_lp(g.weights, cs.cliques)
-        status, x, duals = lp_module._dual_simplex(g.n, problem.rows, list(problem.objective))
-        assert status == "optimal"
+        solved = lp_module._dual_simplex(g.n, problem.rows, list(problem.objective))
+        assert solved is not None
+        _, x, duals = as_fractions(solved)
         assert assert_same_certificate(problem, x, duals)
         for _ in range(3):
             bad_x, bad_duals = list(x), list(duals)
@@ -350,25 +368,43 @@ class TestCertifyOptimumAgainstFraction:
             assert_same_certificate(problem, bad_x, bad_duals)
 
 
+def fraction_simplex(nv, rows, c):
+    """``bf.dual_simplex_max`` returning as ``_dual_simplex`` does: x and
+    the row duals as ints over their common denominators, or None when
+    the LP is unbounded."""
+    outcome, x, duals = bf.dual_simplex_max(nv, rows, c)
+    return None if outcome == "unbounded" else (*to_int_scale(x), *to_int_scale(duals))
+
+
+def optima(solved):
+    """A ``solve_general`` result as Fractions: x, its value, y and its
+    value, or None."""
+    if solved is None:
+        return None
+    primal, dual = solved
+    return primal.x, primal.value, dual.y, dual.value
+
+
 def assert_same_as_fraction_simplex(problem):
     """The integer dual simplex against the Fraction one making the same
     choices, both on the raw solver and through the certified
-    ``solve_general``."""
+    ``solve_general``; returns the latter's result."""
     nv, c = len(problem.objective), list(problem.objective)
     fast = lp_module._dual_simplex(nv, problem.rows, c)
-    assert fast == bf.dual_simplex_max(nv, problem.rows, c)
-    _, x, duals = fast
-    assert all(type(v) is F for v in (x or []) + (duals or []))
+    assert as_fractions(fast) == bf.dual_simplex_max(nv, problem.rows, c)
+    if fast is not None:
+        x_scale, xs, y_scale, ys = fast
+        assert all(type(a) is int for a in [x_scale, *xs, y_scale, *ys])
     result = solve_general(problem)
-    with mock.patch.object(lp_module, "_dual_simplex", bf.dual_simplex_max):
-        assert solve_general(problem) == result
+    with mock.patch.object(lp_module, "_dual_simplex", fraction_simplex):
+        assert optima(solve_general(problem)) == optima(result)
     return result
 
 
 def assert_both_game_lps_match(g):
     cs = maximal_cliques(g)
-    stable = assert_same_as_fraction_simplex(build_stable_set_lp(g.weights, cs.cliques))
-    assert stable.value == reference_value(build_clique_cover_lp(g.weights, cs.cliques))
+    primal, _ = assert_same_as_fraction_simplex(build_stable_set_lp(g.weights, cs.cliques))
+    assert primal.value == reference_value(build_clique_cover_lp(g.weights, cs.cliques))
 
 
 def stable_set_lp(g):
@@ -468,8 +504,8 @@ class TestAgainstFractionSimplex:
     @pytest.mark.parametrize("seed", LARGE_DETERMINANT_SEEDS)
     def test_game_lps_large_determinants(self, seed):
         problem = stable_set_lp(random_graph(20, seed, max_weight=100))
-        result = assert_same_as_fraction_simplex(problem)
-        assert has_sixths(result.x)
+        primal, _ = assert_same_as_fraction_simplex(problem)
+        assert has_sixths(primal.x)
 
     def test_game_lps_sixty_digit_weights(self):
         g = sixty_digit_weights(random_graph(20, 57), 57)
@@ -533,11 +569,13 @@ class TestAgainstTwoPhaseValues:
     def test_same_value_and_certified(self, problem):
         result = solve_general(problem)
         c = list(problem.objective)
-        status = bf.simplex_max(len(c), problem.rows, problem.senses, problem.rhs, c)[0]
-        assert result.status == status
-        if status == "optimal":
-            assert result.value == reference_value(problem)
-            assert certify_optimum(problem, result.x, result.duals) == result.value
+        expected = bf.simplex_max(len(c), problem.rows, problem.senses, problem.rhs, c)[0]
+        assert status_of(result) == expected
+        if result is not None:
+            primal, dual = result
+            assert primal.value == reference_value(problem)
+            scaled = (primal.scale, primal.amounts, dual.scale, dual.amounts)
+            assert certify_optimum(problem, *scaled) == primal.value
 
 
 def assert_same_under_dual_bland(problem, monkeypatch):
@@ -546,9 +584,9 @@ def assert_same_under_dual_bland(problem, monkeypatch):
     same rule and pass the certificate."""
     nv, c = len(problem.objective), list(problem.objective)
     monkeypatch.setattr(lp_module, "STALL_SWEEPS", 0)
-    fast = lp_module._dual_simplex(nv, problem.rows, c)
+    fast = as_fractions(lp_module._dual_simplex(nv, problem.rows, c))
     assert fast == bf.dual_simplex_max(nv, problem.rows, c, stall_sweeps=0)
-    assert solve_general(problem).status == fast[0]
+    assert status_of(solve_general(problem)) == fast[0]
     return fast
 
 
@@ -658,6 +696,39 @@ class TestOneSimplexPerGame:
         assert len(simplex_calls) == 1
 
 
+class TestFractionsPerGame:
+    """Both optima stay ints from the tableau to the imputation: solving
+    the game, building a core imputation and checking it by certificate
+    build a fixed number of Fractions in ``lp`` and ``core``, not one per
+    vertex or per clique."""
+
+    @staticmethod
+    def fractions_built(g, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(lp_module, "Fraction", counting)
+            patched.setattr(core_module, "Fraction", counting)
+            cs = maximal_cliques(g)
+            solve_game(g, cs)
+            imputation = compute_core_imputation(g, cs)
+            assert verify_core_certificate(g, cs, imputation).in_core
+        return len(built)
+
+    def test_count_does_not_grow_with_n_or_m(self, paley, monkeypatch):
+        chordal = weighted_spec("chordal:16", 3)
+        chordal = chordal.with_weights(w / (1 + v % 3) for v, w in enumerate(chordal.weights))
+        assert (paley.n, len(maximal_cliques(paley))) == (9, 6)
+        assert (chordal.n, len(maximal_cliques(chordal))) == (16, 12)
+        assert self.fractions_built(chordal, monkeypatch) == self.fractions_built(
+            paley, monkeypatch
+        )
+
+
 class TestTableauGuard:
     def test_refused_before_the_first_pivot(self, monkeypatch):
         # The complete 8-partite graph with parts of 3 (K_{8x3}) has 3^8
@@ -718,6 +789,13 @@ class TestLpFormat:
         text = lp_format(problem)
         assert "objective scaled by 3" in text
         assert "x0 + 3 x1" in text
+
+    def test_int_weights_give_the_same_lp(self, paley):
+        cs = maximal_cliques(paley)
+        ints = build_stable_set_lp([v + 1 for v in range(paley.n)], cs.cliques)
+        fractions = build_stable_set_lp([F(v + 1) for v in range(paley.n)], cs.cliques)
+        assert lp_format(ints) == lp_format(fractions)
+        assert optima(solve_general(ints)) == optima(solve_general(fractions))
 
     def test_builders_roundtrip_through_format(self, paley):
         cs = maximal_cliques(paley)
