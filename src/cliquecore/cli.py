@@ -38,12 +38,12 @@ from .graph import (
     graph_to_json_dict,
     parse_fraction,
     parse_graph,
+    ratio_str,
     serialize_graph,
 )
 from .lp import (
     build_clique_cover_lp,
     build_stable_set_lp,
-    is_integral,
     lp_format,
     solve_game,
 )
@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
             except OSError as exc:
                 raise _InputError(f"cannot write {path}: {exc}") from exc
     dual_matches = dual.value == worth
-    x = primal.x
+    x_integral = all(a % primal.scale == 0 for a in primal.amounts)
     # The cover in lowest terms: integral exactly when its scale is 1.
     cover = Imputation(dual.scale, dual.amounts)
     firms = cover.to_json_dict(cliques)
@@ -116,8 +116,8 @@ def cmd_solve(args) -> int:
                 "worth": fraction_str(worth),
                 "primal": {
                     "value": fraction_str(primal.value),
-                    "x": [fraction_str(v) for v in x],
-                    "integral": is_integral(x),
+                    "x": [ratio_str(a, primal.scale) for a in primal.amounts],
+                    "integral": x_integral,
                 },
                 "dual": {
                     "value": fraction_str(dual.value),
@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
     else:
         print(f"worth: {fraction_str(worth)}")
         print(f"primal optimum: {fraction_str(primal.value)}"
-              f" (integral: {'yes' if is_integral(x) else 'no'})")
+              f" (integral: {'yes' if x_integral else 'no'})")
         print(f"dual optimum: {fraction_str(dual.value)}"
               f" (integral: {'yes' if cover.scale == 1 else 'no'})")
         for key, amount in firms.items():

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GuardError
-from .graph import WeightedGraph, make_scenario, scenario_mask
+from .graph import WeightedGraph, make_scenario, mask_to_scenario, scenario_mask
 
 #: Most maximal cliques :func:`maximal_cliques` enumerates before it errs.
 DEFAULT_CLIQUE_CAP = 10**6
@@ -48,10 +48,11 @@ class CliqueSet:
 
     @cached_property
     def key_to_id(self) -> dict[str, int]:
-        return {clique_key(q): cid for cid, q in enumerate(self.cliques)}
+        return {self.key(cid): cid for cid in range(len(self.cliques))}
 
     def key(self, cid: int) -> str:
-        return clique_key(self.cliques[cid])
+        """:func:`clique_key` of clique ``cid``, whose members are sorted."""
+        return "-".join(map(str, self.cliques[cid]))
 
     def to_json_list(self) -> list[list[int]]:
         return [list(q) for q in self.cliques]
@@ -69,46 +70,47 @@ def maximal_cliques(g: WeightedGraph) -> CliqueSet:
     more than :data:`DEFAULT_CLIQUE_CAP` cliques have been found.
     """
     adj = g.adj
-    found: list[tuple[int, ...]] = []
-    # (R, P, X) frames on an explicit stack, so clique size meets no recursion
-    # limit; children are pushed in reverse to run in recursive-call order.
-    stack = [((), (1 << g.n) - 1, 0)] if g.n > 0 else []
+    found: list[int] = []
+    # (R, P, X) frames as bitmasks on an explicit stack, so clique size
+    # meets no recursion limit.  A child with P empty is never pushed: it
+    # is a maximal clique when X is empty too, else a dead end.
+    stack = [(0, (1 << g.n) - 1, 0)] if g.n > 0 else []
     while stack:
         r, p, x = stack.pop()
-        if p == 0 and x == 0:
-            found.append(tuple(sorted(r)))
-            if len(found) > DEFAULT_CLIQUE_CAP:
-                raise GuardError(
-                    f"maximal-clique enumeration capped at {DEFAULT_CLIQUE_CAP} cliques"
-                )
-            continue
-        # pivot: vertex of P|X whose neighborhood eats most of P
-        pivot = -1
+        # pivot (Tomita et al. 2006): vertex of P|X with the most neighbours in P
         best = -1
         px = p | x
-        u = 0
         while px:
-            if px & 1:
-                k = (p & adj[u]).bit_count()
-                if k > best:
-                    best, pivot = k, u
-            px >>= 1
-            u += 1
+            low = px & -px
+            u = low.bit_length() - 1
+            k = (p & adj[u]).bit_count()
+            if k > best:
+                best, pivot = k, u
+            px ^= low
         cand = p & ~adj[pivot]
-        children = []
-        v = 0
         while cand:
-            if cand & 1:
-                bit = 1 << v
-                children.append((r + (v,), p & adj[v], x & adj[v]))
-                p &= ~bit
-                x |= bit
-            cand >>= 1
-            v += 1
-        stack += reversed(children)
+            bit = cand & -cand
+            nbrs = adj[bit.bit_length() - 1]
+            cp = p & nbrs
+            if cp:
+                stack.append((r | bit, cp, x & nbrs))
+            elif not x & nbrs:
+                found.append(r | bit)
+                if len(found) > DEFAULT_CLIQUE_CAP:
+                    raise GuardError(
+                        f"maximal-clique enumeration capped at {DEFAULT_CLIQUE_CAP} cliques"
+                    )
+            p ^= bit
+            x |= bit
+            cand ^= bit
 
-    found.sort()
-    return CliqueSet(n=g.n, cliques=tuple(found))
+    # Each member tuple is built once, then cliques and masks are put in
+    # the tuples' order.
+    members = [mask_to_scenario(m) for m in found]
+    order = sorted(range(len(found)), key=members.__getitem__)
+    cs = CliqueSet(n=g.n, cliques=tuple([members[i] for i in order]))
+    cs.__dict__["masks"] = tuple([found[i] for i in order])  # the cached property, filled in
+    return cs
 
 
 def is_clique(g: WeightedGraph, members: Iterable[int]) -> bool:

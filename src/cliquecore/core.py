@@ -36,6 +36,7 @@ from .graph import (
     fraction_str,
     make_scenario,
     mask_to_scenario,
+    ratio_str,
     scenario_mask,
     to_int_scale,
 )
@@ -66,7 +67,7 @@ class Imputation:
             raise ValueError(f"imputation scale must be positive, got {clip(str(self.scale))}")
         for cid, a in enumerate(self.amounts):
             if a < 0:
-                amount = clip(fraction_str(Fraction(a, self.scale)))
+                amount = clip(ratio_str(a, self.scale))
                 raise ValueError(f"negative money {amount} on clique {cid}")
         common = math.gcd(self.scale, *self.amounts)
         if common > 1:
@@ -103,9 +104,9 @@ class Imputation:
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:
         return {
-            cliques.key(cid): fraction_str(v)
-            for cid, v in enumerate(self.values)
-            if v != 0
+            cliques.key(cid): ratio_str(a, self.scale)
+            for cid, a in enumerate(self.amounts)
+            if a
         }
 
 

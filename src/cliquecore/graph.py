@@ -37,6 +37,15 @@ def fraction_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def ratio_str(num: int, den: int) -> str:
+    """:func:`fraction_str` of ``num / den`` (``den >= 1``) from the ints
+    themselves, without building the Fraction."""
+    common = math.gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
+
+
 def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Exact integer form of a rational vector: ``(D, [D * x for x in values])``
     with D the least common multiple of the denominators (1 for an empty
@@ -182,12 +191,10 @@ def scenario_mask(s: Scenario) -> int:
 
 def mask_to_scenario(mask: int) -> Scenario:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -525,9 +525,12 @@ def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fra
     return value
 
 
-# Same signature and same choices as ``cliquecore.lp._dual_simplex``, so
-# the two must return identical results; ``stall_sweeps`` stands for its
-# ``STALL_SWEEPS``.
+# Called as ``cliquecore.lp._dual_simplex`` is, with the same pivot choices.
+# That function returns the ints of its final tableau, ``(det, xs,
+# det * scale, ys)``, or None when the LP is unbounded; ``tests/test_lp.py``
+# turns them into this function's ``(status, x, duals)`` with
+# ``as_fractions`` and requires the two equal.  ``stall_sweeps`` stands for
+# its ``STALL_SWEEPS``.
 def dual_simplex_max(
     nv: int, rows: Sequence[dict[int, Fraction]], c: Sequence[Fraction], stall_sweeps: int = 1
 ) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
+import cliquecore
 from cliquecore import (
     GuardError,
     clique_key,
@@ -10,6 +17,7 @@ from cliquecore import (
     paley3x3,
 )
 from cliquecore import cliques as cliques_module
+from cliquecore.graph import scenario_mask
 
 import _bruteforce as bf
 from conftest import graphs, random_graph
@@ -65,6 +73,13 @@ class TestEnumeration:
                 inst.graph
             )
 
+    @given(graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_masks_handed_over_are_the_members(self, g):
+        cs = maximal_cliques(g)
+        # the enumerator's own masks, not the property's recomputation
+        assert cs.__dict__["masks"] == tuple(scenario_mask(q) for q in cs.cliques)
+
     def test_clique_cap_errs_not_truncates(self, monkeypatch):
         g = random_graph(8, seed=3)
         full = len(maximal_cliques(g))
@@ -72,6 +87,45 @@ class TestEnumeration:
         monkeypatch.setattr(cliques_module, "DEFAULT_CLIQUE_CAP", 2)
         with pytest.raises(GuardError, match="capped at 2 cliques"):
             maximal_cliques(g)
+
+
+# Runs ``cliques --input <path>`` and reports the exit code, stderr and this
+# interpreter's own peak RSS, so that no other process's peak counts.
+CLIQUES_PEAK = """
+import contextlib, io, json, resource, sys
+from cliquecore.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["cliques", "--input", sys.argv[1]])
+print(json.dumps({
+    "code": code,
+    "stderr": err.getvalue(),
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+@pytest.mark.slow
+def test_clique_cap_on_small_file_within_memory(tmp_path):
+    # The complete 15-partite graph with parts of 3: a 9 KB file with 3^15
+    # maximal cliques, so the cap fires after 10^6 of them.
+    n = 45
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if u // 3 != v // 3]
+    path = tmp_path / "k15x3.txt"
+    path.write_text(f"p {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    env = dict(os.environ, PYTHONPATH=str(Path(cliquecore.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLIQUES_PEAK, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    print(result)
+    assert result["code"] == 2
+    assert result["stderr"].splitlines() == [
+        f"guard: maximal-clique enumeration capped at {cliques_module.DEFAULT_CLIQUE_CAP} cliques"
+    ]
+    assert result["maxrss_mb"] < 100
 
 
 class TestPredicates:

@@ -48,7 +48,7 @@ from cliquecore.corpus import (
     random_total_vectors,
     scaled_to_total,
 )
-from cliquecore.graph import mask_to_scenario
+from cliquecore.graph import fraction_str, mask_to_scenario
 
 import _bruteforce as bf
 from conftest import counting_searches, fractional_graphs, graphs
@@ -109,6 +109,26 @@ class TestMoney:
             for v in range(g.n):
                 if v not in s:
                     assert base <= money(g, cs, imp, s + (v,))
+
+
+# Zero, small fractions and fractions of several hundred digits.
+money_values = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=6, max_denominator=12),
+    st.builds(F, st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=10**400)),
+)
+
+
+class TestImputationText:
+    @given(graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_json_dict_matches_the_fraction_reference(self, g, data):
+        cs = maximal_cliques(g)
+        values = data.draw(st.lists(money_values, min_size=len(cs), max_size=len(cs)))
+        imputation = Imputation.of(values)
+        assert imputation.values == tuple(values)
+        reference = {cs.key(cid): fraction_str(v) for cid, v in enumerate(values) if v}
+        assert imputation.to_json_dict(cs) == reference
 
 
 class TestComputeCoreImputation:

@@ -16,7 +16,7 @@ from cliquecore import (
     parse_graph,
     serialize_graph,
 )
-from cliquecore.graph import parse_fraction
+from cliquecore.graph import fraction_str, parse_fraction, ratio_str
 
 from conftest import fractional_graphs, graphs
 
@@ -204,3 +204,22 @@ def test_parse_fraction():
     assert parse_fraction(" 6/4 ") == Fraction(3, 2)
     with pytest.raises(ValueError):
         parse_fraction("1.5")
+
+
+# Mostly small ints, some of several hundred digits.
+ints = st.one_of(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=10**700))
+
+
+class TestRatioStr:
+    @given(ints, ints.map(lambda d: d + 1), ints.map(lambda k: k + 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_text(self, num, den, common):
+        # ``common`` puts a shared factor on both, so reducing matters.
+        for a, b in ((num, den), (num * common, den * common)):
+            assert ratio_str(a, b) == str(Fraction(a, b)) == fraction_str(Fraction(a, b))
+
+    def test_examples(self):
+        assert ratio_str(0, 7) == "0"
+        assert ratio_str(12, 4) == "3"
+        assert ratio_str(6, 4) == "3/2"
+        assert ratio_str(-6, 4) == "-3/2"

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -27,11 +28,12 @@ from cliquecore import (
     solve_primal,
     verify_core_certificate,
 )
+from cliquecore import cli as cli_module
 from cliquecore import core as core_module
 from cliquecore import lp as lp_module
 from cliquecore.cli import main
 from cliquecore.core import certified_worth
-from cliquecore.graph import to_int_scale
+from cliquecore.graph import serialize_graph, to_int_scale
 from cliquecore.lp import certify_optimum, first_uncovered_scaled
 
 import _bruteforce as bf
@@ -696,6 +698,29 @@ class TestOneSimplexPerGame:
         assert len(simplex_calls) == 1
 
 
+def weighted_chordal16():
+    """``chordal:16`` seed 3 with fractional weights: 16 vertices, 12 cliques."""
+    g = weighted_spec("chordal:16", 3)
+    return g.with_weights(w / (1 + v % 3) for v, w in enumerate(g.weights))
+
+
+def count_fractions(monkeypatch, modules, run):
+    """The Fractions that ``run()`` builds through the name ``Fraction`` in
+    each of ``modules`` (set on a module that does not import it, so that
+    one imported later is counted too)."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    with monkeypatch.context() as patched:
+        for module in modules:
+            patched.setattr(module, "Fraction", counting, raising=False)
+        run()
+    return len(built)
+
+
 class TestFractionsPerGame:
     """Both optima stay ints from the tableau to the imputation: solving
     the game, building a core imputation and checking it by certificate
@@ -704,29 +729,46 @@ class TestFractionsPerGame:
 
     @staticmethod
     def fractions_built(g, monkeypatch):
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return Fraction(*args)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(lp_module, "Fraction", counting)
-            patched.setattr(core_module, "Fraction", counting)
+        def run():
             cs = maximal_cliques(g)
             solve_game(g, cs)
             imputation = compute_core_imputation(g, cs)
             assert verify_core_certificate(g, cs, imputation).in_core
-        return len(built)
+
+        return count_fractions(monkeypatch, (lp_module, core_module), run)
 
     def test_count_does_not_grow_with_n_or_m(self, paley, monkeypatch):
-        chordal = weighted_spec("chordal:16", 3)
-        chordal = chordal.with_weights(w / (1 + v % 3) for v, w in enumerate(chordal.weights))
+        chordal = weighted_chordal16()
         assert (paley.n, len(maximal_cliques(paley))) == (9, 6)
         assert (chordal.n, len(maximal_cliques(chordal))) == (16, 12)
         assert self.fractions_built(chordal, monkeypatch) == self.fractions_built(
             paley, monkeypatch
         )
+
+
+class TestFractionsPerSolve:
+    """``solve --json`` prints ``x`` and the cover from the LP's ints, so
+    it builds as many Fractions in ``lp``, ``core`` and ``cli`` on 16
+    vertices and 12 cliques as on 9 and 6."""
+
+    @staticmethod
+    def fractions_built(g, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+
+        def run():
+            assert main(["solve", "--input", str(path), "--json"]) == 0
+
+        count = count_fractions(monkeypatch, (lp_module, core_module, cli_module), run)
+        assert json.loads(capsys.readouterr().out)["dualEqualsWorth"]
+        return count
+
+    def test_count_does_not_grow_with_n_or_m(self, paley, tmp_path, monkeypatch, capsys):
+        built = [
+            self.fractions_built(g, tmp_path, monkeypatch, capsys)
+            for g in (paley, weighted_chordal16())
+        ]
+        assert built[0] == built[1]
 
 
 class TestTableauGuard:
