@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GuardError
-from .graph import WeightedGraph, make_scenario, mask_to_scenario, scenario_mask
+from .graph import WeightedGraph, make_scenario, mask_to_scenario
 
 #: Most maximal cliques :func:`maximal_cliques` enumerates before it errs.
 DEFAULT_CLIQUE_CAP = 10**6
@@ -24,18 +24,16 @@ class CliqueSet:
     """Canonical list of the maximal cliques of one graph.
 
     ``cliques[i]`` is a sorted vertex tuple; the list itself is sorted
-    lexicographically, so clique ids are stable across runs.
+    lexicographically, so clique ids are stable across runs.  ``masks[i]``
+    is the bitmask of ``cliques[i]``.
     """
 
     n: int
     cliques: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.cliques)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(scenario_mask(q) for q in self.cliques)
 
     @cached_property
     def member_index(self) -> tuple[tuple[int, ...], ...]:
@@ -108,9 +106,11 @@ def maximal_cliques(g: WeightedGraph) -> CliqueSet:
     # the tuples' order.
     members = [mask_to_scenario(m) for m in found]
     order = sorted(range(len(found)), key=members.__getitem__)
-    cs = CliqueSet(n=g.n, cliques=tuple([members[i] for i in order]))
-    cs.__dict__["masks"] = tuple([found[i] for i in order])  # the cached property, filled in
-    return cs
+    return CliqueSet(
+        n=g.n,
+        cliques=tuple([members[i] for i in order]),
+        masks=tuple([found[i] for i in order]),
+    )
 
 
 def is_clique(g: WeightedGraph, members: Iterable[int]) -> bool:

@@ -19,6 +19,7 @@ from . import oracle
 from .cliques import CliqueSet, maximal_cliques
 from .core import (
     CertificateChecker,
+    CoreReport,
     ExhaustiveChecker,
     Imputation,
     compute_core_imputation,
@@ -205,14 +206,19 @@ def run_instance_suite(inst: CorpusInstance, rng: random.Random) -> InstanceRepo
     perturbed_all_fail = True
     tdi_holds: bool | None = None
 
+    def check_both(vec: Imputation) -> tuple[CoreReport, bool]:
+        """The exhaustive checker's report on ``vec``, and whether the
+        certificate checker gives the same verdict and first violation."""
+        cert, exh = certificate.check(vec), checker.check(vec)
+        return exh, (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
+
     # On the odd cycles the dual optimum exceeds the worth, so only the
     # fixed-total vectors below compare the two verifiers there.
     if inst.expected_perfect:
         imputation = compute_core_imputation(g, cliques)
-        cert = certificate.check(imputation)
-        exh = checker.check(imputation)
-        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
-        optimal_in_core = cert.in_core and exh.in_core
+        exh, agree = check_both(imputation)
+        core_agree &= agree
+        optimal_in_core = agree and exh.in_core
 
         dual_value = imputation.total
         tdi_holds = (
@@ -221,14 +227,11 @@ def run_instance_suite(inst: CorpusInstance, rng: random.Random) -> InstanceRepo
         )
 
     for bad in infeasible_total_vectors(g, cliques, worth, rng, PERTURBED):
-        cert = certificate.check(bad)
-        exh = checker.check(bad)
-        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
+        exh, agree = check_both(bad)
+        core_agree &= agree
         perturbed_all_fail &= not exh.in_core
     for vec in random_total_vectors(cliques, worth, rng, RANDOM_VECTORS):
-        cert = certificate.check(vec)
-        exh = checker.check(vec)
-        core_agree &= (cert.verdict, cert.violation) == (exh.verdict, exh.violation)
+        core_agree &= check_both(vec)[1]
 
     chain_holds = True
     gap_closed = 0

@@ -85,12 +85,12 @@ def check_vertex_count(n: int, max_n: int | None) -> None:
 class WeightedGraph:
     """Undirected simple graph with per-vertex rational costs.
 
-    ``edges`` is the canonical edge list: each pair (u, v) with u < v, the
-    list sorted ascending.  ``weights[v]`` is the cost of vertex v.
+    ``adj[u]`` is the neighborhood bitmask of vertex u: bit v is set iff
+    {u,v} is an edge.  ``weights[v]`` is the cost of vertex v.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    adj: tuple[int, ...]
     weights: tuple[Fraction, ...]
     labels: tuple[str, ...] | None = None
 
@@ -109,19 +109,16 @@ class WeightedGraph:
         """
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        canon: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
+            if adj[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         if weights is None:
             w = tuple(Fraction(1) for _ in range(n))
         else:
@@ -131,16 +128,13 @@ class WeightedGraph:
             lab = tuple(str(s) for s in labels)
             if len(lab) != n:
                 raise ValueError(f"expected {n} labels, got {len(lab)}")
-        return cls(n=n, edges=tuple(canon), weights=w, labels=lab)
+        return cls(n=n, adj=tuple(adj), weights=w, labels=lab)
 
     @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Neighborhood bitmasks: bit v of adj[u] is set iff {u,v} is an edge."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edge list, derived from ``adj`` for the text and
+        JSON forms: each pair (u, v) with u < v, the list sorted ascending."""
+        return tuple([(u, v) for u, a in enumerate(self.adj) for v in mask_to_scenario(a) if v > u])
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -156,10 +150,10 @@ class WeightedGraph:
         return bool(self.adj[u] >> v & 1)
 
     def with_weights(self, weights: Iterable[Fraction | int]) -> "WeightedGraph":
-        """Same structure, different cost vector.  The edges are already
-        canonical, so only the new weights are validated."""
+        """Same structure, different cost vector: only the new weights are
+        validated."""
         w = _checked_weights(self.n, weights)
-        return WeightedGraph(n=self.n, edges=self.edges, weights=w, labels=self.labels)
+        return WeightedGraph(n=self.n, adj=self.adj, weights=w, labels=self.labels)
 
 
 def _checked_weights(n: int, weights: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
@@ -219,14 +213,10 @@ def induced_subgraph(
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:
-    """Complement graph: adjacency inverted off the diagonal, weights kept.
-    Its edges are canonical by construction, so it is built directly."""
+    """Complement graph: adjacency inverted off the diagonal, weights kept."""
     full = (1 << g.n) - 1
     adj = tuple([full & ~a & ~(1 << u) for u, a in enumerate(g.adj)])
-    edges = tuple([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if adj[u] >> v & 1])
-    h = WeightedGraph(n=g.n, edges=edges, weights=g.weights, labels=g.labels)
-    h.__dict__["adj"] = adj  # the cached property, filled in
-    return h
+    return WeightedGraph(n=g.n, adj=adj, weights=g.weights, labels=g.labels)
 
 
 def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
@@ -245,9 +235,8 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
     them.
     """
     n: int | None = None
-    declared_m = 0
-    edges: list[tuple[int, int]] = []
-    edge_seen: set[tuple[int, int]] = set()
+    declared_m = given_m = 0
+    adj: list[int] = []
     weights: dict[int, Fraction] = {}
     labels: dict[int, str] = {}
 
@@ -284,6 +273,7 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
             if n < 0 or declared_m < 0:
                 fail("header counts must be nonnegative", lineno)
             check_vertex_count(n, max_n)
+            adj = [0] * n
         elif kind == "e":
             if len(parts) != 3:
                 fail("edge line must be 'e <u> <v>'", lineno)
@@ -291,11 +281,11 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
             v = vertex_id(parts[2], lineno)
             if u == v:
                 fail(f"self-loop at vertex {u}", lineno)
-            e = (u, v) if u < v else (v, u)
-            if e in edge_seen:
-                fail(f"duplicate edge ({e[0]},{e[1]})", lineno)
-            edge_seen.add(e)
-            edges.append(e)
+            if adj[u] >> v & 1:
+                fail(f"duplicate edge ({min(u, v)},{max(u, v)})", lineno)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            given_m += 1
         elif kind == "w":
             if len(parts) != 3:
                 fail("weight line must be 'w <v> <num>[/<den>]'", lineno)
@@ -321,18 +311,17 @@ def parse_graph(text: str, max_n: int | None = None) -> WeightedGraph:
 
     if n is None:
         raise GraphParseError("missing 'p <n> <m>' header")
-    if len(edges) != declared_m:
+    if given_m != declared_m:
         raise GraphParseError(
-            f"header declares {declared_m} edges but {len(edges)} were given"
+            f"header declares {declared_m} edges but {given_m} were given"
         )
 
     # Every check of WeightedGraph.from_edges has been made line by line
     # above, so the graph is built directly.
-    edges.sort()
     one = Fraction(1)
     w = tuple([weights.get(v, one) for v in range(n)])
     lab = tuple([labels.get(v, str(v)) for v in range(n)]) if labels else None
-    return WeightedGraph(n=n, edges=tuple(edges), weights=w, labels=lab)
+    return WeightedGraph(n=n, adj=tuple(adj), weights=w, labels=lab)
 
 
 def serialize_graph(g: WeightedGraph) -> str:

@@ -28,7 +28,7 @@ the current basis, and every division a pivot makes is exact
 (integer-preserving pivoting: Edmonds 1967; Bareiss 1968).  Both optima
 come back as those ints, with no float and no Fraction per coordinate;
 :func:`certify_optimum` checks them exactly, reading only the LP rows
-and not the tableau, before anything is returned.  The cover LP builder
+and objective and not the tableau, before anything is returned.  The cover LP builder
 stays for ``--dump-lp``.
 """
 
@@ -119,10 +119,11 @@ def solve_general(lp: LinearProgram) -> tuple[PrimalSolution, DualSolution] | No
                 raise ValueError(f"row {i} references variable {j} of {nv}")
             if a != 1:
                 raise ValueError(f"row {i} has coefficient {a} on variable {j}, not 1")
-    solved = _dual_simplex(nv, lp.rows, lp.objective)
+    c_scale, cs = to_int_scale(lp.objective)
+    solved = _dual_simplex(lp.rows, c_scale, cs)
     if solved is None:
         return None
-    value = certify_optimum(lp, *solved)
+    value = certify_optimum(lp.rows, c_scale, cs, *solved)
     x_scale, xs, y_scale, ys = solved
     return PrimalSolution(x_scale, tuple(xs), value), DualSolution(y_scale, tuple(ys), value)
 
@@ -152,27 +153,28 @@ def first_uncovered_scaled(
 
 
 def certify_optimum(
-    lp: LinearProgram, x_scale: int, xs: Sequence[int], y_scale: int, ys: Sequence[int]
+    rows: Sequence[Iterable[int]], c_scale: int, cs: Sequence[int],
+    x_scale: int, xs: Sequence[int], y_scale: int, ys: Sequence[int],
 ) -> Fraction:
-    """Exact proof that x, ``x[j] = xs[j] / x_scale``, is optimal for a
-    stable-set LP, with the row duals ``y[i] = ys[i] / y_scale`` (both
-    scales positive, as :func:`_dual_simplex` returns them) as the
-    witness: x feasible, the duals nonnegative and covering every
-    objective coefficient, and equal objective values.  Returns that
+    """Exact proof that x, ``x[j] = xs[j] / x_scale``, is optimal for the
+    stable-set LP over ``rows`` with objective ``c[j] = cs[j] / c_scale``
+    (see ``graph.to_int_scale``), with the row duals ``y[i] = ys[i] /
+    y_scale`` (both scales positive, as :func:`_dual_simplex` returns
+    them) as the witness: x feasible, the duals nonnegative and covering
+    every objective coefficient, and equal objective values.  Returns that
     value; raises RuntimeError naming the first failed condition.
 
-    Runs on those ints and the objective scaled once (``to_int_scale``),
-    and reads only the LP rows, never the tableau that produced x.
+    Runs on those ints alone and reads only the LP rows and objective,
+    never the tableau that produced x.
     """
     if any(v < 0 for v in xs):
         raise RuntimeError("certificate: x has a negative coordinate")
-    for i, row in enumerate(lp.rows):
+    for i, row in enumerate(rows):
         if sum(xs[j] for j in row) > x_scale:
             raise RuntimeError(f"certificate: x violates row {i}")
         if ys[i] < 0:
             raise RuntimeError(f"certificate: dual {i} has the wrong sign")
-    c_scale, cs = to_int_scale(lp.objective)
-    short = first_uncovered_scaled(lp.rows, y_scale, ys, c_scale, cs)
+    short = first_uncovered_scaled(rows, y_scale, ys, c_scale, cs)
     if short is not None:
         raise RuntimeError(f"certificate: dual constraint of variable {short[0]} violated")
     value = Fraction(sum(map(mul, cs, xs)), c_scale * x_scale)
@@ -190,20 +192,21 @@ STALL_SWEEPS = 1
 
 
 def _dual_simplex(
-    nv: int, rows: Sequence[Iterable[int]], c: Sequence[Fraction | int]
+    rows: Sequence[Iterable[int]], scale: int, cs: Sequence[int]
 ) -> tuple[int, list[int], int, list[int]] | None:
     """Optimum of max c.x subject to x(row) <= 1 for every row (a set of
-    variable indices) and x >= 0, by dual simplex on its covering dual
+    variable indices) and x >= 0, where ``c[v] = cs[v] / scale`` (see
+    ``graph.to_int_scale``), by dual simplex on its covering dual
 
         minimize  sum_i y_i  subject to  sum_{i: v in rows[i]} y_i >= c_v
         for every variable v,  y >= 0.
 
     The tableau has one row per variable v, ``-sum y_i + s_v = -c_v``, over
-    the m columns y (0..m-1), the surplus columns s (m..m+nv-1) and the
-    right-hand side.  Its surplus basis is dual feasible, because every
-    y_i costs 1 and every s_v 0, so one phase suffices: each pivot keeps
-    the reduced costs ``z >= 0`` (kept at ``tab[nv]``) and the solve ends
-    when no right-hand side is negative.
+    the m columns y (0..m-1), the nv = ``len(cs)`` surplus columns s
+    (m..m+nv-1) and the right-hand side.  Its surplus basis is dual
+    feasible, because every y_i costs 1 and every s_v 0, so one phase
+    suffices: each pivot keeps the reduced costs ``z >= 0`` (kept at
+    ``tab[nv]``) and the solve ends when no right-hand side is negative.
 
     - Leaving row: the most negative right-hand side, ties to the lowest
       row.
@@ -219,10 +222,9 @@ def _dual_simplex(
     The whole tableau, reduced costs included, is one matrix of Python
     ints over one positive denominator ``det``, the absolute determinant
     of the current basis; the right-hand sides are further scaled by
-    ``scale``, the lcm of the denominators of c, so the surplus basis
-    starts integral with ``det = 1``.  A pivot on entry p > 0 (after
-    negating its row) turns every other row into
-    ``(p * row - f * prow) / det`` and sets ``det = p``; by Sylvester's
+    ``scale``, so the surplus basis starts integral with ``det = 1``.  A
+    pivot on entry p > 0 (after negating its row) turns every other row
+    into ``(p * row - f * prow) / det`` and sets ``det = p``; by Sylvester's
     identity each entry is then, up to sign, a minor of the starting
     matrix, so the division is exact (integer-preserving pivoting:
     Edmonds 1967; Bareiss 1968).  Sign tests are on ints, right-hand
@@ -235,11 +237,10 @@ def _dual_simplex(
     ``ys[i] / (det * scale)``, the value of column i where basic and 0
     elsewhere.  Neither pair is reduced to lowest terms.
     """
-    m = len(rows)
+    m, nv = len(rows), len(cs)
     ncols = m + nv
 
     # Row v: -1 on each y_i with v in rows[i], 1 on s_v, and -c_v * scale.
-    scale, cs = to_int_scale(c)
     tab: list[list[int]] = []
     for v, a in enumerate(cs):
         dense = [0] * (ncols + 1)

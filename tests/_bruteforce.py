@@ -525,12 +525,12 @@ def certify_optimum(lp, x: Sequence[Fraction], duals: Sequence[Fraction]) -> Fra
     return value
 
 
-# Called as ``cliquecore.lp._dual_simplex`` is, with the same pivot choices.
-# That function returns the ints of its final tableau, ``(det, xs,
-# det * scale, ys)``, or None when the LP is unbounded; ``tests/test_lp.py``
-# turns them into this function's ``(status, x, duals)`` with
-# ``as_fractions`` and requires the two equal.  ``stall_sweeps`` stands for
-# its ``STALL_SWEEPS``.
+# Makes the same pivot choices as ``cliquecore.lp._dual_simplex``, which
+# takes the objective as ints over one scale and returns the ints of its
+# final tableau, ``(det, xs, det * scale, ys)``, or None when the LP is
+# unbounded; ``tests/test_lp.py`` turns them into this function's
+# ``(status, x, duals)`` with ``as_fractions`` and requires the two equal.
+# ``stall_sweeps`` stands for its ``STALL_SWEEPS``.
 def dual_simplex_max(
     nv: int, rows: Sequence[dict[int, Fraction]], c: Sequence[Fraction], stall_sweeps: int = 1
 ) -> tuple[str, list[Fraction] | None, list[Fraction] | None]:

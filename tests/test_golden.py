@@ -19,7 +19,11 @@ from cliquecore.cli import main
 
 from conftest import random_graph
 
-GOLDEN_SHA256 = "54906cac9c6f3044f4f275c9279dbc276edbead01c01c3f1df5c8b193a8785d7"
+#: Seeded perfect generator specs, weighted and complemented below and
+#: also printed by ``generate`` itself.
+PERFECT_SPECS = [("chordal:14", 3), ("chordal:20", 5), ("bipartite:14", 2), ("bipartite:20", 4)]
+
+GOLDEN_SHA256 = "cb5ef8c41f96f85d83e42dcc53d10c6286796e9c1f7c5ca4624f0fabebdb6777"
 
 
 def weighted(g, seed, denominators=(1,)):
@@ -35,8 +39,7 @@ def golden_graphs():
     graphs = [(f"gnp{n}", random_graph(n, n, max_weight=100)) for n in range(14, 21)]
     # Their simplex pivots reach basis determinants of 28 and 13.
     graphs += [(f"gnp20/{seed}", random_graph(20, seed, max_weight=100)) for seed in (57, 62)]
-    perfect = [("chordal:14", 3), ("chordal:20", 5), ("bipartite:14", 2), ("bipartite:20", 4)]
-    for spec, seed in perfect:
+    for spec, seed in PERFECT_SPECS:
         g = weighted(from_spec(spec, seed=seed), seed)
         graphs += [(f"{spec}/{seed}", g), (f"co-{spec}/{seed}", complement(g))]
     for spec in ("chordal:16", "bipartite:16"):
@@ -73,4 +76,9 @@ def test_cli_output_matches_the_recorded_digest(tmp_path, capsys):
         call(f"{name} verify", "verify", *graph, str(imputation))
         if g.n <= 16:
             call(f"{name} verify --exhaustive", "verify", *graph, str(imputation), "--exhaustive")
+        call(f"{name} cliques --json", "cliques", *graph, "--json")
+    for spec, seed in PERFECT_SPECS:
+        generated = ("--generate", spec, "--seed", str(seed))
+        call(f"{spec}/{seed} generate", "generate", *generated)
+        call(f"{spec}/{seed} generate --json", "generate", *generated, "--json")
     assert digest.hexdigest() == GOLDEN_SHA256

@@ -41,7 +41,7 @@ class TestParse:
             parse_graph("p 2 1\ne 0 0\n")
 
     def test_duplicate_edge(self):
-        with pytest.raises(GraphParseError, match="line 3.*duplicate edge"):
+        with pytest.raises(GraphParseError, match=r"^line 3: duplicate edge \(0,1\)$"):
             parse_graph("p 2 2\ne 0 1\ne 1 0\n")
 
     def test_out_of_range_vertex(self):
@@ -182,6 +182,10 @@ class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             WeightedGraph.from_edges(2, [(1, 1)])
+
+    def test_rejects_duplicate_edge_in_either_orientation(self):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
+            WeightedGraph.from_edges(3, [(0, 1), (1, 0)])
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):

@@ -268,7 +268,7 @@ class TestTableauDual:
         problem = build_stable_set_lp(paley.weights, cs.cliques)
         primal, dual = solve_general(problem)
         x = (primal.scale, primal.amounts)
-        certify_optimum(problem, *x, dual.scale, dual.amounts)
+        certify(problem, *x, dual.scale, dual.amounts)
         support = [c for c, v in enumerate(dual.y) if v > 0]
         unused = [c for c, v in enumerate(dual.y) if v == 0]
         pick = {"first": support[0], "second": support[1], "unused": unused[0]}
@@ -276,7 +276,7 @@ class TestTableauDual:
         for which, delta in change:
             bad[pick[which]] += delta
         with pytest.raises(RuntimeError, match=failure):
-            certify_optimum(problem, *x, *to_int_scale(bad))
+            certify(problem, *x, *to_int_scale(bad))
 
     @pytest.mark.parametrize(
         "which,delta,failure",
@@ -296,7 +296,7 @@ class TestTableauDual:
         bad = list(primal.x)
         bad[pick[which]] += delta
         with pytest.raises(RuntimeError, match=failure):
-            certify_optimum(problem, *to_int_scale(bad), dual.scale, dual.amounts)
+            certify(problem, *to_int_scale(bad), dual.scale, dual.amounts)
 
     def test_solver_runs_the_certificate(self, paley, monkeypatch):
         real = lp_module._dual_simplex
@@ -308,6 +308,18 @@ class TestTableauDual:
         monkeypatch.setattr(lp_module, "_dual_simplex", off_by_one)
         with pytest.raises(RuntimeError, match="certificate"):
             solve_dual(paley, maximal_cliques(paley))
+
+
+def certify(problem, *solution):
+    """``certify_optimum`` on ``problem``'s rows and its objective scaled
+    to ints, as ``solve_general`` calls it."""
+    return certify_optimum(problem.rows, *to_int_scale(problem.objective), *solution)
+
+
+def dual_simplex(problem):
+    """``_dual_simplex`` on ``problem``'s rows and its objective scaled to
+    ints, as ``solve_general`` calls it."""
+    return lp_module._dual_simplex(problem.rows, *to_int_scale(problem.objective))
 
 
 def as_fractions(solved):
@@ -333,10 +345,10 @@ def assert_same_certificate(problem, x, duals):
         expected = bf.certify_optimum(problem, x, duals)
     except RuntimeError as exc:
         with pytest.raises(RuntimeError) as info:
-            certify_optimum(problem, *scaled)
+            certify(problem, *scaled)
         assert str(info.value) == str(exc)
         return False
-    value = certify_optimum(problem, *scaled)
+    value = certify(problem, *scaled)
     assert type(value) is F and value == expected
     return True
 
@@ -356,7 +368,7 @@ class TestCertifyOptimumAgainstFraction:
         g = data.draw(strategy(max_n=7))
         cs = maximal_cliques(g)
         problem = build_stable_set_lp(g.weights, cs.cliques)
-        solved = lp_module._dual_simplex(g.n, problem.rows, list(problem.objective))
+        solved = dual_simplex(problem)
         assert solved is not None
         _, x, duals = as_fractions(solved)
         assert assert_same_certificate(problem, x, duals)
@@ -370,11 +382,11 @@ class TestCertifyOptimumAgainstFraction:
             assert_same_certificate(problem, bad_x, bad_duals)
 
 
-def fraction_simplex(nv, rows, c):
-    """``bf.dual_simplex_max`` returning as ``_dual_simplex`` does: x and
-    the row duals as ints over their common denominators, or None when
-    the LP is unbounded."""
-    outcome, x, duals = bf.dual_simplex_max(nv, rows, c)
+def fraction_simplex(rows, scale, cs):
+    """``bf.dual_simplex_max`` called and returning as ``_dual_simplex``
+    is: x and the row duals as ints over their common denominators, or
+    None when the LP is unbounded."""
+    outcome, x, duals = bf.dual_simplex_max(len(cs), rows, [F(a, scale) for a in cs])
     return None if outcome == "unbounded" else (*to_int_scale(x), *to_int_scale(duals))
 
 
@@ -392,7 +404,7 @@ def assert_same_as_fraction_simplex(problem):
     choices, both on the raw solver and through the certified
     ``solve_general``; returns the latter's result."""
     nv, c = len(problem.objective), list(problem.objective)
-    fast = lp_module._dual_simplex(nv, problem.rows, c)
+    fast = dual_simplex(problem)
     assert as_fractions(fast) == bf.dual_simplex_max(nv, problem.rows, c)
     if fast is not None:
         x_scale, xs, y_scale, ys = fast
@@ -577,7 +589,7 @@ class TestAgainstTwoPhaseValues:
             primal, dual = result
             assert primal.value == reference_value(problem)
             scaled = (primal.scale, primal.amounts, dual.scale, dual.amounts)
-            assert certify_optimum(problem, *scaled) == primal.value
+            assert certify(problem, *scaled) == primal.value
 
 
 def assert_same_under_dual_bland(problem, monkeypatch):
@@ -586,7 +598,7 @@ def assert_same_under_dual_bland(problem, monkeypatch):
     same rule and pass the certificate."""
     nv, c = len(problem.objective), list(problem.objective)
     monkeypatch.setattr(lp_module, "STALL_SWEEPS", 0)
-    fast = as_fractions(lp_module._dual_simplex(nv, problem.rows, c))
+    fast = as_fractions(dual_simplex(problem))
     assert fast == bf.dual_simplex_max(nv, problem.rows, c, stall_sweeps=0)
     assert status_of(solve_general(problem)) == fast[0]
     return fast

@@ -146,6 +146,10 @@ class TestCost:
         for s in bf.subsets(g.n):
             assert table[scenario_mask(s)] == cost(g, s)
 
+    def test_subset_table_guard(self):
+        with pytest.raises(GuardError, match=r"^subset cost table capped at n <= 22$"):
+            subset_cost_table(WeightedGraph.from_edges(23))
+
     def test_subset_table_scaled_by_common_denominator(self):
         g = random_graph(7, seed=23).with_weights(
             [Fraction(k, d) for k, d in zip((3, 1, 7, 0, 5, 9, 4), (2, 3, 4, 1, 6, 5, 3))]
