@@ -95,52 +95,47 @@ def cmd_solve(args) -> int:
     cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)
     worth = certified_worth(g, primal)
-    if args.dump_lp:
-        for suffix, program, name in (
-            (".primal.lp", build_stable_set_lp(g.weights, cliques.cliques), "stable-set"),
-            (".dual.lp", build_clique_cover_lp(g.weights, cliques.cliques), "clique-cover"),
-        ):
-            path = args.dump_lp + suffix
-            try:
-                Path(path).write_text(lp_format(program, name), encoding="utf-8")
-            except OSError as exc:
-                raise _InputError(f"cannot write {path}: {exc}") from exc
-    dual_matches = dual.value == worth
-    x_integral = all(a % primal.scale == 0 for a in primal.amounts)
     # The cover in lowest terms: integral exactly when its scale is 1.
     cover = Imputation(dual.scale, dual.amounts)
-    firms = cover.to_json_dict(cliques)
+    result = {
+        "worth": fraction_str(worth),
+        "primal": {
+            "value": fraction_str(primal.value),
+            "x": [ratio_str(a, primal.scale) for a in primal.amounts],
+            "integral": all(a % primal.scale == 0 for a in primal.amounts),
+        },
+        "dual": {
+            "value": fraction_str(dual.value),
+            "y": cover.to_json_dict(cliques),
+            "integral": cover.scale == 1,
+        },
+        "dualEqualsWorth": dual.value == worth,
+    }
+    if args.dump_lp:
+        # Both files are formatted before either is written.
+        primal_lp = build_stable_set_lp(g.weights, cliques.cliques)
+        dual_lp = build_clique_cover_lp(g.weights, cliques.cliques)
+        dumps = {
+            args.dump_lp + ".primal.lp": lp_format(primal_lp, "stable-set"),
+            args.dump_lp + ".dual.lp": lp_format(dual_lp, "clique-cover"),
+        }
+        for path, text in dumps.items():
+            try:
+                Path(path).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise _InputError(f"cannot write {path}: {exc}") from exc
     if args.json:
-        _emit_json(
-            {
-                "worth": fraction_str(worth),
-                "primal": {
-                    "value": fraction_str(primal.value),
-                    "x": [ratio_str(a, primal.scale) for a in primal.amounts],
-                    "integral": x_integral,
-                },
-                "dual": {
-                    "value": fraction_str(dual.value),
-                    "y": firms,
-                    "integral": cover.scale == 1,
-                },
-                "dualEqualsWorth": dual_matches,
-            }
-        )
+        _emit_json(result)
     else:
-        print(f"worth: {fraction_str(worth)}")
-        print(f"primal optimum: {fraction_str(primal.value)}"
-              f" (integral: {'yes' if x_integral else 'no'})")
-        print(f"dual optimum: {fraction_str(dual.value)}"
-              f" (integral: {'yes' if cover.scale == 1 else 'no'})")
-        for key, amount in firms.items():
+        print(f"worth: {result['worth']}")
+        for label in ("primal", "dual"):
+            value, integral = result[label]["value"], result[label]["integral"]
+            print(f"{label} optimum: {value} (integral: {'yes' if integral else 'no'})")
+        for key, amount in result["dual"]["y"].items():
             print(f"  firm {key}: {amount}")
-    if not dual_matches:
-        print(
-            f"warning: dual optimum {fraction_str(dual.value)} != worth "
-            f"{fraction_str(worth)}; graph is not perfect",
-            file=sys.stderr,
-        )
+    if not result["dualEqualsWorth"]:
+        gap = f"dual optimum {result['dual']['value']} != worth {result['worth']}"
+        print(f"warning: {gap}; graph is not perfect", file=sys.stderr)
     return EXIT_OK
 
 
@@ -187,19 +182,17 @@ def cmd_verify(args) -> int:
         report = verify_core_exhaustive(g, cliques, imputation)
     else:
         report = verify_core_certificate(g, cliques, imputation)
+    result = report.to_json_dict()
     if args.json:
-        _emit_json(report.to_json_dict())
+        _emit_json(result)
     else:
-        print(f"verdict: {report.verdict}")
-        print(f"total: {fraction_str(report.total_money)}  worth: {fraction_str(report.game_worth)}")
-        if report.violation is not None:
-            v = report.violation
-            print(
-                f"violated scenario {list(v.scenario)}: "
-                f"money {fraction_str(v.money)} < cost {fraction_str(v.cost)}"
-            )
-        if report.scenarios_checked:
-            print(f"scenarios checked: {report.scenarios_checked}")
+        print(f"verdict: {result['verdict']}")
+        print(f"total: {result['total']}  worth: {result['worth']}")
+        if result["violation"] is not None:
+            v = result["violation"]
+            print(f"violated scenario {v['scenario']}: money {v['money']} < cost {v['cost']}")
+        if result["scenariosChecked"]:
+            print(f"scenarios checked: {result['scenariosChecked']}")
     return EXIT_OK if report.in_core else EXIT_PROPERTY
 
 

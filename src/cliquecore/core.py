@@ -23,6 +23,7 @@ central property the test suite exercises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -93,13 +94,22 @@ class Imputation:
         cls, cliques: CliqueSet, mapping: Mapping[str, Fraction | int]
     ) -> "Imputation":
         """Build from {canonical clique key: int or Fraction amount}; unknown
-        keys raise KeyError.  Cliques absent from the mapping hold zero."""
+        keys raise KeyError.  Cliques absent from the mapping hold zero.
+        Amounts whose common denominator has more digits than Python writes
+        (``sys.get_int_max_str_digits()``) raise GuardError, found cheaply:
+        the lcm grows one denominator at a time and stops past the limit."""
         values: list[Fraction | int] = [0] * len(cliques)
         for key, amount in mapping.items():
             cid = cliques.key_to_id.get(key)
             if cid is None:
                 raise KeyError(f"{clip(repr(key))} is not a maximal clique of this graph")
             values[cid] = amount
+        limit, den = sys.get_int_max_str_digits(), 1
+        for x in mapping.values():
+            den = math.lcm(den, x.denominator)
+            # Past the limit an int has over 3.32 * limit bits; 10^limit is built only then.
+            if limit and den.bit_length() > 3.32 * limit and den >= 10**limit:
+                raise GuardError(f"the amounts' common denominator has more than {limit} digits")
         return cls.of(values)
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:

@@ -183,16 +183,6 @@ class InstanceReport:
     chain_holds: bool
     gap_closed_count: int
 
-    @property
-    def ok(self) -> bool:
-        """Every property of :data:`PROPERTIES` that applies here passes."""
-        for _, everywhere, tally in PROPERTIES:
-            if everywhere or self.expected_perfect:
-                passes, checks = tally(self)
-                if passes != checks:
-                    return False
-        return True
-
 
 def run_instance_suite(inst: CorpusInstance, rng: random.Random) -> InstanceReport:
     """All property checks for one instance; pure given the rng state."""
@@ -286,5 +276,6 @@ def summarize(reports: list[InstanceReport]) -> dict:
     summary["imperfectChainGapObserved"] = sum(
         CHAIN_VECTORS - r.gap_closed_count for r in reports if not r.expected_perfect
     )
-    summary["allOk"] = all(r.ok for r in reports)
+    # An instance never passes a property more often than it checks it.
+    summary["allOk"] = all(summary[key]["fail"] == 0 for key, *_ in PROPERTIES)
     return summary

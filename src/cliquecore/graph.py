@@ -12,6 +12,7 @@ instances can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,17 +34,21 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def fraction_str(value: Fraction) -> str:
-    """Canonical text form: ``"3"`` or ``"5/2"`` (reduced, positive denominator)."""
-    return str(Fraction(value))
+    """Canonical text form, reduced: ``"3"`` or ``"5/2"``, by :func:`ratio_str`."""
+    x = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    return ratio_str(x.numerator, x.denominator)
 
 
 def ratio_str(num: int, den: int) -> str:
-    """:func:`fraction_str` of ``num / den`` (``den >= 1``) from the ints
-    themselves, without building the Fraction."""
+    """``str(Fraction(num, den))`` (``den >= 1``) without building the
+    Fraction: the one place an exact number becomes decimal text.  A number
+    with more digits than ``sys.get_int_max_str_digits()`` raises GuardError."""
     common = math.gcd(num, den)
-    if common == den:
-        return str(num // den)
-    return f"{num // common}/{den // common}"
+    try:
+        return str(num // den) if common == den else f"{num // common}/{den // common}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise GuardError(f"a number to write has more than {limit} digits") from None
 
 
 def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -109,6 +114,10 @@ class WeightedGraph:
         """
         if n < 0:
             raise ValueError("vertex count must be >= 0")
+        if weights is None:
+            w = tuple(Fraction(1) for _ in range(n))
+        else:
+            w = _checked_weights(n, weights)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -119,10 +128,6 @@ class WeightedGraph:
                 raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if weights is None:
-            w = tuple(Fraction(1) for _ in range(n))
-        else:
-            w = _checked_weights(n, weights)
         lab = None
         if labels is not None:
             lab = tuple(str(s) for s in labels)

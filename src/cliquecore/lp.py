@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .cliques import CliqueSet
 from .errors import GuardError
-from .graph import WeightedGraph, fraction_str, to_int_scale
+from .graph import WeightedGraph, fraction_str, ratio_str, to_int_scale
 
 ONE = Fraction(1)
 
@@ -180,7 +180,7 @@ def certify_optimum(
     value = Fraction(sum(map(mul, cs, xs)), c_scale * x_scale)
     dual_total = sum(ys)
     if value.numerator * y_scale != dual_total * value.denominator:
-        dual_value = fraction_str(Fraction(dual_total, y_scale))
+        dual_value = ratio_str(dual_total, y_scale)
         raise RuntimeError(f"certificate: primal {fraction_str(value)} != dual {dual_value}")
     return value
 
@@ -397,20 +397,15 @@ def lp_format(lp: LinearProgram, name: str = "problem") -> str:
     moves the argmax.
     """
     lines = [f"\\ {name}"]
-    obj_den = to_int_scale(lp.objective)[0]
+    obj_den, objective = to_int_scale(lp.objective)
     if obj_den != 1:
-        lines.append(f"\\ objective scaled by {obj_den}")
+        lines.append(f"\\ objective scaled by {ratio_str(obj_den, 1)}")
     lines.append("Maximize" if lp.direction == "max" else "Minimize")
-    terms = _terms(
-        {j: w * obj_den for j, w in enumerate(lp.objective) if w != 0}
-    )
-    lines.append(f" obj: {terms if terms else '0 x0'}")
+    lines.append(f" obj: {_terms(enumerate(objective))}")
     lines.append("Subject To")
     for i, row in enumerate(lp.rows):
-        den = to_int_scale([lp.rhs[i], *row.values()])[0]
-        scaled = {j: a * den for j, a in row.items() if a != 0}
-        body = _terms(scaled) if scaled else "0 x0"
-        lines.append(f" c{i}: {body} {lp.senses[i]} {lp.rhs[i] * den}")
+        _, (rhs, *coeffs) = to_int_scale([lp.rhs[i], *row.values()])
+        lines.append(f" c{i}: {_terms(zip(row, coeffs))} {lp.senses[i]} {ratio_str(rhs, 1)}")
     lines.append("Bounds")
     for j in range(len(lp.objective)):
         lines.append(f" 0 <= x{j}")
@@ -418,14 +413,17 @@ def lp_format(lp: LinearProgram, name: str = "problem") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _terms(coeffs: dict[int, Fraction]) -> str:
+def _terms(coeffs: Iterable[tuple[int, int]]) -> str:
+    """The nonzero int coefficients ``(j, a)`` as LP-format terms in
+    variable order, or ``0 x0`` when there are none."""
     parts = []
-    for j in sorted(coeffs):
-        a = coeffs[j]
+    for j, a in sorted(coeffs):
+        if a == 0:
+            continue
         if not parts:
-            parts.append(f"{a} x{j}" if a != 1 else f"x{j}")
+            parts.append(f"{ratio_str(a, 1)} x{j}" if a != 1 else f"x{j}")
         elif a < 0:
-            parts.append(f"- {-a} x{j}" if a != -1 else f"- x{j}")
+            parts.append(f"- {ratio_str(-a, 1)} x{j}" if a != -1 else f"- x{j}")
         else:
-            parts.append(f"+ {a} x{j}" if a != 1 else f"+ x{j}")
-    return " ".join(parts)
+            parts.append(f"+ {ratio_str(a, 1)} x{j}" if a != 1 else f"+ x{j}")
+    return " ".join(parts) if parts else "0 x0"

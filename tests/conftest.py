@@ -8,6 +8,13 @@ from cliquecore import WeightedGraph, complete, cycle, paley3x3, path
 from cliquecore import core as core_module
 
 
+#: Three weights whose common denominator, 2^7000 * 3^4400 * 5^3000, has
+#: 6,303 digits, more than Python writes as text, though each has about
+#: 2,100: a 6,332-byte graph file with no edge.
+WIDE_WEIGHTS = (Fraction(1, 2**7000), Fraction(1, 3**4400), Fraction(1, 5**3000))
+WIDE_GRAPH = "p 3 0\n" + "".join(f"w {v} {w}\n" for v, w in enumerate(WIDE_WEIGHTS))
+
+
 @pytest.fixture
 def paley():
     return paley3x3()

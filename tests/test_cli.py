@@ -23,6 +23,7 @@ from cliquecore import (
 )
 from cliquecore.cli import _InputError, build_parser, main
 from cliquecore.graph import DEFAULT_MAX_N
+from conftest import WIDE_GRAPH
 
 
 def run(capsys, *argv):
@@ -465,6 +466,45 @@ class TestLongTokensClipped:
         code, out, err = run(capsys, "verify", "--generate", "paley3x3", str(path))
         assert (code, err) == (3, "")
         assert out.startswith("verdict: not-an-imputation")
+
+
+class TestWideNumbers:
+    """A result with more digits than Python writes as text is refused
+    with one guard line before anything reaches stdout or a file."""
+
+    def test_verify_and_dump_lp_refused_before_output(self, capsys, tmp_path):
+        graph = tmp_path / "wide.graph"
+        graph.write_text(WIDE_GRAPH)
+        imp = tmp_path / "imp.json"
+        imp.write_text('{"0": "1"}')
+        guard = "guard: a number to write has more than 4300 digits\n"
+        assert run(capsys, "verify", "--input", str(graph), str(imp)) == (2, "", guard)
+        prefix = tmp_path / "dump"
+        assert run(capsys, "solve", "--input", str(graph), "--dump-lp", str(prefix)) == (2, "", guard)
+        assert list(tmp_path.glob("*.lp")) == []
+
+    def test_imputation_denominators_refused_at_once(self, tmp_path):
+        # 100 amounts over distinct odd 4,000-digit denominators (a 400 KB
+        # file) on the complete 7-partite graph with parts of 3 (2,187
+        # cliques): their lcm passes the digit limit at the second one.
+        parts = WeightedGraph.from_edges(
+            21, [(u, v) for u in range(21) for v in range(u + 1, 21) if u // 3 != v // 3]
+        )
+        graph = tmp_path / "multipartite.graph"
+        graph.write_text(serialize_graph(parts))
+        cliques = maximal_cliques(parts)
+        imp = tmp_path / "imp.json"
+        imp.write_text(json.dumps({cliques.key(c): f"1/{10**3999 + 2 * c + 1}" for c in range(100)}))
+        assert imp.stat().st_size > 400_000
+        env = dict(os.environ, PYTHONPATH=str(Path(cliquecore.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliquecore.cli", "verify", "--input", str(graph), str(imp)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "guard: the amounts' common denominator has more than 4300 digits\n"
 
 
 class TestErrors:

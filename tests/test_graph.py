@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cliquecore import (
     GraphParseError,
+    GuardError,
     WeightedGraph,
     complement,
     graph_from_json_dict,
@@ -196,6 +198,18 @@ class TestConstruction:
         assert g.weights[0].numerator == 2
         assert g.weights[0].denominator == 1
 
+    def test_json_weight_count_checked_before_allocating(self):
+        # The JSON's n is outside input: a million vertices with no weights
+        # is refused before a list of a million adjacency masks is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^expected 1000000 weights, got 0$"):
+                graph_from_json_dict({"n": 10**6, "edges": [], "weights": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_scenario_canonicalization(self):
         assert make_scenario([2, 0, 2], 3) == (0, 2)
         with pytest.raises(ValueError):
@@ -221,6 +235,17 @@ class TestRatioStr:
         # ``common`` puts a shared factor on both, so reducing matters.
         for a, b in ((num, den), (num * common, den * common)):
             assert ratio_str(a, b) == str(Fraction(a, b)) == fraction_str(Fraction(a, b))
+
+    def test_digit_limit(self):
+        # Python writes ints of up to sys.get_int_max_str_digits() (4,300)
+        # digits as text; one digit more is a guard, not a traceback.
+        assert ratio_str(10**4300 - 1, 1) == "9" * 4300
+        assert ratio_str(1, 10**4300 - 1) == "1/" + "9" * 4300
+        for num, den in ((10**4300, 1), (1, 10**4300), (-(10**4300), 3)):
+            with pytest.raises(GuardError, match=r"^a number to write has more than 4300 digits$"):
+                ratio_str(num, den)
+        with pytest.raises(GuardError):
+            fraction_str(Fraction(1, 10**4300))
 
     def test_examples(self):
         assert ratio_str(0, 7) == "0"
