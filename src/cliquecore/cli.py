@@ -22,13 +22,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import oracle
 from .cliques import maximal_cliques
-from .core import (
-    Imputation,
-    certified_worth,
-    check_exhaustive_size,
-    verify_core_certificate,
-    verify_core_exhaustive,
-)
+from .core import CertificateChecker, ExhaustiveChecker, Imputation, certified_worth
 from .errors import DualGapError, GraphParseError, GuardError, clip
 from .generators import from_spec
 from .graph import (
@@ -151,12 +145,7 @@ def _json_int(text: str) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    # The checker's guards, before the cliques are enumerated, in the
-    # order ExhaustiveChecker.__init__ meets them (size, then game_worth).
-    if args.exhaustive:
-        check_exhaustive_size(g.n)
-    oracle.check_stable_set_size(g.n)
-    cliques = maximal_cliques(g)
+    checker = (ExhaustiveChecker if args.exhaustive else CertificateChecker)(g)
     try:
         raw = json.loads(Path(args.imputation).read_text(encoding="utf-8"), parse_int=_json_int)
     except (OSError, RecursionError, ValueError) as exc:
@@ -172,16 +161,13 @@ def cmd_verify(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise _InputError(f"bad amount {clip(repr(value))} for clique {clip(repr(key))}") from exc
     try:
-        imputation = Imputation.from_mapping(cliques, mapping)
+        imputation = Imputation.from_mapping(checker.cliques, mapping)
     except KeyError as exc:
         # str() of a KeyError is the repr of its message; print the message
         raise _InputError(exc.args[0]) from exc
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    if args.exhaustive:
-        report = verify_core_exhaustive(g, cliques, imputation)
-    else:
-        report = verify_core_certificate(g, cliques, imputation)
+    report = checker.check(imputation)
     result = report.to_json_dict()
     if args.json:
         _emit_json(result)

@@ -23,7 +23,6 @@ central property the test suite exercises.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -34,6 +33,7 @@ from .errors import DualGapError, GuardError, clip
 from .graph import (
     Scenario,
     WeightedGraph,
+    check_common_denominator,
     fraction_str,
     make_scenario,
     mask_to_scenario,
@@ -96,20 +96,14 @@ class Imputation:
         """Build from {canonical clique key: int or Fraction amount}; unknown
         keys raise KeyError.  Cliques absent from the mapping hold zero.
         Amounts whose common denominator has more digits than Python writes
-        (``sys.get_int_max_str_digits()``) raise GuardError, found cheaply:
-        the lcm grows one denominator at a time and stops past the limit."""
+        raise GuardError (``graph.check_common_denominator``)."""
         values: list[Fraction | int] = [0] * len(cliques)
         for key, amount in mapping.items():
             cid = cliques.key_to_id.get(key)
             if cid is None:
                 raise KeyError(f"{clip(repr(key))} is not a maximal clique of this graph")
             values[cid] = amount
-        limit, den = sys.get_int_max_str_digits(), 1
-        for x in mapping.values():
-            den = math.lcm(den, x.denominator)
-            # Past the limit an int has over 3.32 * limit bits; 10^limit is built only then.
-            if limit and den.bit_length() > 3.32 * limit and den >= 10**limit:
-                raise GuardError(f"the amounts' common denominator has more than {limit} digits")
+        check_common_denominator(mapping.values(), "the amounts")
         return cls.of(values)
 
     def to_json_dict(self, cliques: CliqueSet) -> dict:
@@ -263,15 +257,17 @@ class CertificateChecker:
     Building one checker computes the worth once, by its own branch and
     bound (:func:`game_worth`; :class:`ExhaustiveChecker` runs another and
     cross-checks it against its scan, so neither verifier reads the other's
-    number).  ``check`` leaves the length and totality checks to
-    :func:`_verdict` and finds the first uncovered vertex from the
-    imputation's ints and the weights' (``WeightedGraph.scaled_weights``).
+    number), and then lists the cliques when none are given, so the
+    worth's guards fire before any clique is listed.  ``check`` leaves the
+    length and totality checks to :func:`_verdict` and finds the first
+    uncovered vertex from the imputation's ints and the weights'
+    (``WeightedGraph.scaled_weights``).
     """
 
-    def __init__(self, g: WeightedGraph, cliques: CliqueSet):
+    def __init__(self, g: WeightedGraph, cliques: CliqueSet | None = None):
         self.g = g
-        self.cliques = cliques
         self.worth = game_worth(g)
+        self.cliques = maximal_cliques(g) if cliques is None else cliques
 
     def check(self, imputation: Imputation) -> CoreReport:
         return _verdict(self, imputation)
@@ -359,13 +355,6 @@ class _Packed:
         self.size += count
 
 
-def check_exhaustive_size(n: int) -> None:
-    """Raise GuardError when a graph of n vertices is too large for
-    :class:`ExhaustiveChecker`."""
-    if n > MAX_EXHAUSTIVE_N:
-        raise GuardError(f"exhaustive scenario check capped at n <= {MAX_EXHAUSTIVE_N}")
-
-
 class ExhaustiveChecker:
     """Scenario-by-scenario core check with shared precomputation.
 
@@ -400,18 +389,20 @@ class ExhaustiveChecker:
     fields would take more than :data:`MAX_EXHAUSTIVE_BYTES` raises
     GuardError.
 
-    The worth comes from its own branch and bound (:func:`game_worth`), as
-    in :class:`CertificateChecker`.  Every need is the weight of a stable
-    set and every stable set's weight is a need, so RuntimeError is raised
-    when a need exceeds the worth or a completed scan meets none equal to
-    it: every in-core verdict also proves the worth by definition.
+    The weights' guard, then the one on :data:`MAX_EXHAUSTIVE_N`, fire at
+    once.  As in :class:`CertificateChecker`, the worth comes from its own
+    branch and bound (:func:`game_worth`) and the cliques after it.  Every
+    need is the weight of a stable set and every stable set's weight is a
+    need, so RuntimeError is raised when a need exceeds the worth or a
+    completed scan meets none equal to it: every in-core verdict also
+    proves the worth by definition.
     """
 
-    def __init__(self, g: WeightedGraph, cliques: CliqueSet):
-        check_exhaustive_size(g.n)
+    def __init__(self, g: WeightedGraph, cliques: CliqueSet | None = None):
         self.g = g
-        self.cliques = cliques
         self.scale = g.scaled_weights[0]
+        if g.n > MAX_EXHAUSTIVE_N:
+            raise GuardError(f"exhaustive scenario check capped at n <= {MAX_EXHAUSTIVE_N}")
         self.worth = game_worth(g)
         self.scaled_worth = math.ceil(self.worth * self.scale)
         # Each vertex is a stable set; the packed adds rely on this bound.
@@ -419,6 +410,7 @@ class ExhaustiveChecker:
             raise RuntimeError(
                 f"a vertex outweighs the branch-and-bound worth {fraction_str(self.worth)}"
             )
+        self.cliques = maximal_cliques(g) if cliques is None else cliques
 
     def check(self, imputation: Imputation) -> CoreReport:
         return _verdict(self, imputation)

@@ -51,6 +51,19 @@ def ratio_str(num: int, den: int) -> str:
         raise GuardError(f"a number to write has more than {limit} digits") from None
 
 
+def check_common_denominator(values: Iterable[Fraction | int], what: str) -> None:
+    """Raise GuardError naming ``what`` (``"the weights"``) when the values'
+    common denominator has more digits than Python writes
+    (``sys.get_int_max_str_digits()``), found cheaply: the lcm grows one
+    denominator at a time and stops past the limit."""
+    limit, den = sys.get_int_max_str_digits(), 1
+    for x in values:
+        den = math.lcm(den, x.denominator)
+        # Past the limit an int has over 3.32 * limit bits; 10^limit is built only then.
+        if limit and den.bit_length() > 3.32 * limit and den >= 10**limit:
+            raise GuardError(f"{what}' common denominator has more than {limit} digits")
+
+
 def to_int_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Exact integer form of a rational vector: ``(D, [D * x for x in values])``
     with D the least common multiple of the denominators (1 for an empty
@@ -145,7 +158,9 @@ class WeightedGraph:
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
         """The weights as ints over their common denominator D:
         ``(D, ints)`` with ``Fraction(ints[v], D) == weights[v]``
-        (see :func:`to_int_scale`)."""
+        (see :func:`to_int_scale`).  A D past the digit limit raises
+        GuardError (:func:`check_common_denominator`)."""
+        check_common_denominator(self.weights, "the weights")
         scale, ints = to_int_scale(self.weights)
         return scale, tuple(ints)
 

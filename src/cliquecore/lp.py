@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .cliques import CliqueSet
 from .errors import GuardError
-from .graph import WeightedGraph, fraction_str, ratio_str, to_int_scale
+from .graph import WeightedGraph, check_common_denominator, fraction_str, ratio_str, to_int_scale
 
 ONE = Fraction(1)
 
@@ -100,7 +100,8 @@ def solve_general(lp: LinearProgram) -> tuple[PrimalSolution, DualSolution] | No
     any other LP raises ValueError.  The objective may have any sign (a
     variable in no row with a positive cost makes the LP unbounded).  The
     dual, one multiplier per row, is a basic solution of the cover LP and
-    the primal the complementary one of the same final basis.
+    the primal the complementary one of the same final basis.  Weights
+    past the digit limit raise GuardError (``graph.check_common_denominator``).
 
     The name predates the restriction to one form and is kept: every game
     solve passes through it, and the benchmark's tracer
@@ -119,6 +120,7 @@ def solve_general(lp: LinearProgram) -> tuple[PrimalSolution, DualSolution] | No
                 raise ValueError(f"row {i} references variable {j} of {nv}")
             if a != 1:
                 raise ValueError(f"row {i} has coefficient {a} on variable {j}, not 1")
+    check_common_denominator(lp.objective, "the weights")
     c_scale, cs = to_int_scale(lp.objective)
     solved = _dual_simplex(lp.rows, c_scale, cs)
     if solved is None:

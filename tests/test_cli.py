@@ -23,7 +23,7 @@ from cliquecore import (
 )
 from cliquecore.cli import _InputError, build_parser, main
 from cliquecore.graph import DEFAULT_MAX_N
-from conftest import WIDE_GRAPH
+from conftest import WEIGHTS_GUARD, WIDE_GRAPH, WIDE_PATH
 
 
 def run(capsys, *argv):
@@ -308,6 +308,12 @@ class TestGuardBeforeWork:
         assert (code, out) == (2, "")
         assert err == "guard: game LP capped at 150000 tableau cells, needs 1772400\n"
 
+    def test_exhaustive_guard_before_the_imputation_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "verify", "--exhaustive", "--generate", "path:23", missing)
+        assert (code, out) == (2, "")
+        assert err == "guard: exhaustive scenario check capped at n <= 22\n"
+
     def test_max_n_overrides_the_ceiling(self, capsys):
         n = DEFAULT_MAX_N + 1
         argv = ("cliques", "--generate", f"path:{n}")
@@ -477,11 +483,34 @@ class TestWideNumbers:
         graph.write_text(WIDE_GRAPH)
         imp = tmp_path / "imp.json"
         imp.write_text('{"0": "1"}')
-        guard = "guard: a number to write has more than 4300 digits\n"
-        assert run(capsys, "verify", "--input", str(graph), str(imp)) == (2, "", guard)
+        assert run(capsys, "verify", "--input", str(graph), str(imp)) == (2, "", WEIGHTS_GUARD)
         prefix = tmp_path / "dump"
-        assert run(capsys, "solve", "--input", str(graph), "--dump-lp", str(prefix)) == (2, "", guard)
+        assert run(capsys, "solve", "--input", str(graph), "--dump-lp", str(prefix)) == (2, "", WEIGHTS_GUARD)
         assert list(tmp_path.glob("*.lp")) == []
+
+    def test_weights_denominators_refused_at_once(self, capsys, tmp_path):
+        # Every verb that works on the weights stops at their guard before
+        # the LP or the worth's search; the verbs that read no weight answer.
+        graph = tmp_path / "path.graph"
+        graph.write_text(WIDE_PATH)
+        assert graph.stat().st_size > 120_000
+        imp = tmp_path / "imp.json"
+        imp.write_text("{}")
+        source = ("--input", str(graph))
+        for argv in (
+            ["solve"],
+            ["solve", "--json"],
+            ["solve", "--dump-lp", str(tmp_path / "dump")],
+            ["verify", str(imp)],
+            ["verify", str(imp), "--exhaustive"],
+        ):
+            start = time.perf_counter()
+            assert run(capsys, *argv, *source) == (2, "", WEIGHTS_GUARD)
+            assert time.perf_counter() - start < 0.5
+        assert list(tmp_path.glob("*.lp")) == []
+        edges = "".join(f"{v} {v + 1}\n" for v in range(29))
+        assert run(capsys, "cliques", *source) == (0, edges, "")
+        assert run(capsys, "check-perfect", *source) == (0, "perfect\n", "")
 
     def test_imputation_denominators_refused_at_once(self, tmp_path):
         # 100 amounts over distinct odd 4,000-digit denominators (a 400 KB

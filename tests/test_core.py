@@ -16,6 +16,7 @@ from cliquecore import (
     CoreReport,
     DualGapError,
     ExhaustiveChecker,
+    GuardError,
     Imputation,
     Violation,
     WeightedGraph,
@@ -31,6 +32,7 @@ from cliquecore import (
     maximal_cliques,
     money,
     paley3x3,
+    path,
     random_bipartite,
     random_chordal,
     restrict_dual,
@@ -211,6 +213,20 @@ class TestVerifyCertificate:
             Imputation(0, (1,))
         with pytest.raises(ValueError, match="negative money -1/4 on clique 1"):
             Imputation(8, (2, -2))
+
+    def test_common_denominator_digit_boundary(self):
+        # 10^4300 - 1 has 4,300 digits, as many as Python writes; 10^4300 + 1
+        # has one more.  Both sit in the band of bit lengths where the guard
+        # compares with 10^4300 itself.
+        g = WeightedGraph.from_edges(1)
+        cs = maximal_cliques(g)
+        below, above = 10**4300 - 1, 10**4300 + 1
+        assert Imputation.from_mapping(cs, {"0": F(1, below)}).scale == below
+        assert g.with_weights([F(1, below)]).scaled_weights == (below, (1,))
+        with pytest.raises(GuardError, match=r"^the amounts' common denominator has more than 4300 digits$"):
+            Imputation.from_mapping(cs, {"0": F(1, above)})
+        with pytest.raises(GuardError, match=r"^the weights' common denominator has more than 4300 digits$"):
+            g.with_weights([F(1, above)]).scaled_weights
 
 
 class TestVerifyExhaustive:
@@ -566,6 +582,18 @@ class TestExhaustiveAgainstReferenceProperty:
             assert checker.check(imp) == reference_exhaustive(g, cs, imp, costs)
 
 
+class TestCheckersListTheirCliques:
+    def test_guards_before_any_clique(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a clique was listed before the guard fired")
+
+        monkeypatch.setattr(core_module, "maximal_cliques", refuse)
+        with pytest.raises(GuardError, match=r"^exhaustive scenario check capped at n <= 22$"):
+            ExhaustiveChecker(path(23))
+        with pytest.raises(GuardError, match=r"^stable-set search capped at n <= 30$"):
+            CertificateChecker(path(31))
+
+
 class TestVerifiersShareTheFirstViolation:
     """On a vector whose total is the worth, the first violated scenario
     is stable (see ``ExhaustiveChecker``) and a firm meets a stable set at
@@ -581,12 +609,15 @@ class TestVerifiersShareTheFirstViolation:
         def same(g, rng):
             cs = maximal_cliques(g)
             exhaustive, certificate = ExhaustiveChecker(g, cs), CertificateChecker(g, cs)
+            listing = ExhaustiveChecker(g), CertificateChecker(g)  # list their own cliques
+            assert [c.cliques for c in listing] == [cs, cs]
             worth = exhaustive.worth
             vectors = infeasible_total_vectors(g, cs, worth, rng, 2)
             if worth > 0:
                 vectors += random_total_vectors(cs, worth, rng, 3)
             for imp in vectors:
                 exh, cert = exhaustive.check(imp), certificate.check(imp)
+                assert [c.check(imp) for c in listing] == [exh, cert]
                 assert exh.violation == cert.violation
                 if exh.violation is not None:
                     (v,) = exh.violation.scenario
