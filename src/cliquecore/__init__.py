@@ -52,7 +52,6 @@ from .lp import (
     PrimalSolution,
     build_clique_cover_lp,
     build_stable_set_lp,
-    is_integral,
     lp_format,
     solve_dual,
     solve_game,
@@ -108,7 +107,6 @@ __all__ = [
     "graph_to_json_dict",
     "induced_subgraph",
     "is_clique",
-    "is_integral",
     "is_maximal_clique",
     "is_perfect",
     "lift_dual",

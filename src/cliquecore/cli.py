@@ -81,10 +81,12 @@ def _load_graph(args) -> WeightedGraph:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args)
-    # The fallback search's cap holds even when the LP proves the worth,
-    # because certified_worth falls back to that search whenever the LP's
-    # optimum is fractional.  It is checked before the cliques, whose
+    # The weights' guard comes first, as in both checkers.  The fallback
+    # search's cap holds even when the LP proves the worth, because
+    # certified_worth falls back to that search whenever the LP's optimum
+    # is fractional.  Both are checked before the cliques, whose
     # enumeration alone can take seconds.
+    g.scaled_weights
     oracle.check_stable_set_size(g.n)
     cliques = maximal_cliques(g)
     primal, dual = solve_game(g, cliques)

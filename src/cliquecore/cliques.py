@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GuardError
-from .graph import WeightedGraph, make_scenario, mask_to_scenario
+from .graph import WeightedGraph, make_scenario, mask_to_scenario, scenario_mask
 
 #: Most maximal cliques :func:`maximal_cliques` enumerates before it errs.
 DEFAULT_CLIQUE_CAP = 10**6
@@ -116,17 +116,19 @@ def maximal_cliques(g: WeightedGraph) -> CliqueSet:
 def is_clique(g: WeightedGraph, members: Iterable[int]) -> bool:
     """True iff the members are pairwise adjacent (vacuously for <= 1)."""
     s = make_scenario(members, g.n)
-    return all(g.has_edge(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
+    mask = scenario_mask(s)
+    return all(mask & ~g.adj[v] == 1 << v for v in s)
 
 
 def is_maximal_clique(g: WeightedGraph, members: Iterable[int]) -> bool:
     """True iff members form a clique and no outside vertex extends it."""
     s = make_scenario(members, g.n)
-    if not is_clique(g, s):
-        return False
+    mask = scenario_mask(s)
     common = (1 << g.n) - 1
     for v in s:
+        # v's mask must hold every other member; a vertex adjacent to all
+        # members is not one of them, since no mask holds its own bit.
+        if mask & ~g.adj[v] != 1 << v:
+            return False
         common &= g.adj[v]
-    for v in s:
-        common &= ~(1 << v)
     return common == 0

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import oracle
-from .cliques import CliqueSet, clique_key, is_clique, maximal_cliques
+from .cliques import CliqueSet, is_clique, maximal_cliques
 from .errors import DualGapError, GuardError, clip
 from .graph import (
     Scenario,
@@ -548,12 +548,10 @@ def lift_dual(
         items.append((members, amt))
     items.sort()
     for members, amt in items:
-        cid = cliques.key_to_id.get(clique_key(members))
-        if cid is None:
-            kmask = scenario_mask(members)
-            cid = next(
-                c for c, cm in enumerate(cliques.masks) if cm & kmask == kmask
-            )
+        # The first container in canonical order; for a maximal key, its
+        # own mask, the only one that contains it.
+        kmask = scenario_mask(members)
+        cid = next(c for c, cm in enumerate(cliques.masks) if cm & kmask == kmask)
         values[cid] += amt
     return Imputation.of(values)
 

@@ -11,6 +11,7 @@ give identical graphs byte for byte.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .graph import WeightedGraph, check_vertex_count
 
@@ -58,13 +59,13 @@ def random_bipartite(n: int, p: float, seed: int) -> WeightedGraph:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
     side = [rng.randint(0, 1) for _ in range(n)]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if side[u] != side[v] and rng.random() < p
-    ]
-    return WeightedGraph.from_edges(n, edges)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if side[u] != side[v] and rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return WeightedGraph(n=n, adj=tuple(adj), weights=(Fraction(1),) * n)
 
 
 def random_chordal(n: int, seed: int) -> WeightedGraph:
@@ -81,20 +82,22 @@ def random_chordal(n: int, seed: int) -> WeightedGraph:
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
-    earlier: dict[int, set[int]] = {}
-    edges: list[tuple[int, int]] = []
+    adj = [0] * n
+    earlier = [0] * n  # each vertex's neighbours placed before it, as a mask
     placed: list[int] = []
     for v in order:
-        if not placed:
-            earlier[v] = set()
-        else:
+        if placed:
             anchor = rng.choice(placed)
-            pool = sorted({anchor} | earlier[anchor])
-            chosen = {u for u in pool if rng.random() < 0.5}
-            earlier[v] = chosen
-            edges.extend((v, u) for u in sorted(chosen))
+            pool = earlier[anchor] | 1 << anchor
+            while pool:  # ascending, one draw per pool vertex
+                low = pool & -pool
+                if rng.random() < 0.5:
+                    earlier[v] |= low
+                    adj[low.bit_length() - 1] |= 1 << v
+                pool ^= low
+            adj[v] = earlier[v]
         placed.append(v)
-    return WeightedGraph.from_edges(n, edges)
+    return WeightedGraph(n=n, adj=tuple(adj), weights=(Fraction(1),) * n)
 
 
 def from_spec(spec: str, seed: int | None = None, max_n: int | None = None) -> WeightedGraph:

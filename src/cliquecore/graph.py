@@ -221,15 +221,11 @@ def induced_subgraph(
     ``g`` that became vertex ``i`` of ``h``.  Weights and labels carry over.
     """
     s = make_scenario(members, g.n)
-    index = {old: new for new, old in enumerate(s)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    ]
-    weights = [g.weights[old] for old in s]
-    labels = None if g.labels is None else [g.labels[old] for old in s]
-    return WeightedGraph.from_edges(len(s), edges, weights, labels), s
+    # Bit i of a kept vertex's new mask is bit s[i] of its old one.
+    adj = tuple([sum(1 << i for i, u in enumerate(s) if g.adj[old] >> u & 1) for old in s])
+    weights = tuple([g.weights[old] for old in s])
+    labels = None if g.labels is None else tuple([g.labels[old] for old in s])
+    return WeightedGraph(n=len(s), adj=adj, weights=weights, labels=labels), s
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:

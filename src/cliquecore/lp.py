@@ -384,11 +384,6 @@ def solve_dual(g: WeightedGraph, cliques: CliqueSet) -> DualSolution:
     return solve_game(g, cliques)[1]
 
 
-def is_integral(values: Iterable[Fraction]) -> bool:
-    """Exact integrality test: every coordinate has denominator 1."""
-    return all(v.denominator == 1 for v in values)
-
-
 def lp_format(lp: LinearProgram, name: str = "problem") -> str:
     """Render in the standard LP interchange text format for cross-checking.
 

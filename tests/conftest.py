@@ -13,14 +13,21 @@ from cliquecore import core as core_module
 #: 2,100: a 6,332-byte graph file with no edge.
 WIDE_WEIGHTS = (Fraction(1, 2**7000), Fraction(1, 3**4400), Fraction(1, 5**3000))
 WIDE_GRAPH = "p 3 0\n" + "".join(f"w {v} {w}\n" for v, w in enumerate(WIDE_WEIGHTS))
-#: A path of 30 vertices weighing 1/(10^3999 + 2v + 1): distinct, pairwise
-#: coprime 4,000-digit denominators, whose lcm passes the digit limit at the
-#: second weight, in a 120 KB graph file.
-WIDE_PATH = (
-    "p 30 29\n"
-    + "".join(f"e {v} {v + 1}\n" for v in range(29))
-    + "".join(f"w {v} 1/{10**3999 + 2 * v + 1}\n" for v in range(30))
-)
+
+
+def wide_path(n: int) -> str:
+    """A path of n vertices weighing 1/(10^3999 + 2v + 1): distinct, pairwise
+    coprime 4,000-digit denominators, whose lcm passes the digit limit at the
+    second weight, in a graph file of about 4 KB a vertex."""
+    return (
+        f"p {n} {n - 1}\n"
+        + "".join(f"e {v} {v + 1}\n" for v in range(n - 1))
+        + "".join(f"w {v} 1/{10**3999 + 2 * v + 1}\n" for v in range(n))
+    )
+
+
+#: The 30-vertex wide path, a 120 KB graph file.
+WIDE_PATH = wide_path(30)
 #: The guard line for WIDE_GRAPH and WIDE_PATH.
 WEIGHTS_GUARD = "guard: the weights' common denominator has more than 4300 digits\n"
 

@@ -23,7 +23,7 @@ from cliquecore import (
 )
 from cliquecore.cli import _InputError, build_parser, main
 from cliquecore.graph import DEFAULT_MAX_N
-from conftest import WEIGHTS_GUARD, WIDE_GRAPH, WIDE_PATH
+from conftest import WEIGHTS_GUARD, WIDE_GRAPH, wide_path
 
 
 def run(capsys, *argv):
@@ -490,27 +490,29 @@ class TestWideNumbers:
 
     def test_weights_denominators_refused_at_once(self, capsys, tmp_path):
         # Every verb that works on the weights stops at their guard before
-        # the LP or the worth's search; the verbs that read no weight answer.
-        graph = tmp_path / "path.graph"
-        graph.write_text(WIDE_PATH)
-        assert graph.stat().st_size > 120_000
+        # the LP or the worth's search, and at n = 31 before the search's
+        # n <= 30 cap too; the verbs that read no weight answer.
         imp = tmp_path / "imp.json"
         imp.write_text("{}")
-        source = ("--input", str(graph))
-        for argv in (
-            ["solve"],
-            ["solve", "--json"],
-            ["solve", "--dump-lp", str(tmp_path / "dump")],
-            ["verify", str(imp)],
-            ["verify", str(imp), "--exhaustive"],
-        ):
-            start = time.perf_counter()
-            assert run(capsys, *argv, *source) == (2, "", WEIGHTS_GUARD)
-            assert time.perf_counter() - start < 0.5
-        assert list(tmp_path.glob("*.lp")) == []
-        edges = "".join(f"{v} {v + 1}\n" for v in range(29))
-        assert run(capsys, "cliques", *source) == (0, edges, "")
-        assert run(capsys, "check-perfect", *source) == (0, "perfect\n", "")
+        for n in (30, 31):
+            graph = tmp_path / f"path{n}.graph"
+            graph.write_text(wide_path(n))
+            assert graph.stat().st_size > 4_000 * n
+            source = ("--input", str(graph))
+            for argv in (
+                ["solve"],
+                ["solve", "--json"],
+                ["solve", "--dump-lp", str(tmp_path / "dump")],
+                ["verify", str(imp)],
+                ["verify", str(imp), "--exhaustive"],
+            ):
+                start = time.perf_counter()
+                assert run(capsys, *argv, *source) == (2, "", WEIGHTS_GUARD)
+                assert time.perf_counter() - start < 0.5
+            assert list(tmp_path.glob("*.lp")) == []
+            edges = "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+            assert run(capsys, "cliques", *source) == (0, edges, "")
+            assert run(capsys, "check-perfect", *source) == (0, "perfect\n", "")
 
     def test_imputation_denominators_refused_at_once(self, tmp_path):
         # 100 amounts over distinct odd 4,000-digit denominators (a 400 KB

@@ -155,6 +155,25 @@ class TestComputeCoreImputation:
         assert err.value.worth == 2
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("unit", [False, True])
+@pytest.mark.parametrize("n,seed", [(40, 1), (100, 3), (200, 7)])
+def test_chordal_cover_total_matches_frank(n, seed, unit):
+    # Above the n <= 30 searches the only reference is polynomial: Frank's
+    # stable set and cover on a chordal graph prove each other optimal.
+    g = random_chordal(n, seed)
+    if not unit:
+        rng = random.Random(seed)
+        g = g.with_weights([rng.randint(0, 100) for _ in range(n)])
+    stable, cover = bf.frank_chordal(g)
+    total = sum(g.weights[v] for v in mask_to_scenario(stable))
+    assert sum(cover.values()) == total
+    assert all(not g.adj[v] & stable for v in mask_to_scenario(stable))
+    for v in range(g.n):
+        assert sum(a for q, a in cover.items() if q >> v & 1) >= g.weights[v]
+    assert compute_core_imputation(g).total == total
+
+
 class TestVerifyCertificate:
     def test_rows_at_one_in_core(self, paley_setup):
         g, cs = paley_setup

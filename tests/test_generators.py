@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cliquecore import (
@@ -12,6 +14,9 @@ from cliquecore import (
 )
 
 import _bruteforce as bf
+
+#: sha256 of ``repr((n, adj))`` over the random families' draws below.
+STREAMS_SHA256 = "d96e3ddba3274604ff3af94606bcbf2bca0d928981a0796977f492300636b0f8"
 
 
 class TestPaley:
@@ -85,6 +90,19 @@ class TestRandomFamilies:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             random_bipartite(4, 1.5, seed=1)
+
+    def test_streams_match_the_recorded_digest(self):
+        # 15,000 graphs, seeds 0-99 and n = 1-30: a change to the order or
+        # number of rng calls in either family shows in some adjacency.
+        digest = hashlib.sha256()
+        for seed in range(100):
+            for n in range(1, 31):
+                for p in (0, 0.3, 0.5, 1):
+                    g = random_bipartite(n, p, seed)
+                    digest.update(repr((g.n, g.adj)).encode())
+                g = random_chordal(n, seed)
+                digest.update(repr((g.n, g.adj)).encode())
+        assert digest.hexdigest() == STREAMS_SHA256
 
 
 class TestSpecStrings:
